@@ -22,7 +22,7 @@
    The stream mode checks the streaming search's memory contract — a
    10^5-candidate grid must peak (live words after forced major
    collections) within 2x of a 10^3-candidate run, with frontier and
-   best byte-identical to the materialized legacy loop — and writes
+   best byte-identical to the materialized reference loop — and writes
    BENCH_stream.json. *)
 
 open Bechamel
@@ -796,13 +796,13 @@ let fleet_bench () =
 
 (* --- metaheuristic solver benchmark --- *)
 
-(* [bench/main.exe solver [smoke]]: run all three solver methods over the
-   tier grid and report how much of the exhaustive sweep each one needed
-   to land on the same optimum. The headline number — the annealing
+(* [bench/main.exe solver [smoke]]: run grid search and annealing over
+   the tier grid and report how much of the exhaustive sweep annealing
+   needed to land on the same optimum. The headline number — the annealing
    budget is capped at [solver_budget_fraction] of the candidates the
    grid evaluated, and the run must still reach the grid optimum — is
    the measurement behind the solver-vs-grid gate of [--check]. Writes
-   BENCH_solver.json; exits 1 if anneal or b&b misses the optimum. *)
+   BENCH_solver.json; exits 1 if anneal misses the optimum. *)
 let solver_bench ~smoke () =
   let module J = Storage_report.Json in
   let module Engine = Storage_optimize.Engine in
@@ -840,7 +840,6 @@ let solver_bench ~smoke () =
              (b.Baselines.solver_budget_fraction *. float_of_int grid_evals))
       in
       let anneal, t_anneal = timed Solver.Anneal ~budget () in
-      let bnb, t_bnb = timed Solver.Bnb () in
       let total (r : Solver.result) =
         Option.map
           (fun (s : Objective.summary) -> s.Objective.worst_total_cost)
@@ -872,10 +871,6 @@ let solver_bench ~smoke () =
             ("budget", J.Int r.Solver.budget);
             ("evaluations", J.Int evals);
             ("fraction_of_grid", J.Float fraction);
-            ("pruned_cost", J.Int r.Solver.stats.Solver.pruned_cost);
-            ( "pruned_infeasible",
-              J.Int r.Solver.stats.Solver.pruned_infeasible );
-            ("bound_probes", J.Int r.Solver.stats.Solver.probes);
             ("seconds", J.Float seconds);
             ("matched_grid", J.Bool matched);
             ( "best_total_usd",
@@ -886,8 +881,7 @@ let solver_bench ~smoke () =
       in
       let row_grid = row "grid" grid t_grid in
       let row_anneal = row "anneal" anneal t_anneal in
-      let row_bnb = row "bnb" bnb t_bnb in
-      let rows = [ row_grid; row_anneal; row_bnb ] in
+      let rows = [ row_grid; row_anneal ] in
       let json =
         J.Obj
           [

@@ -557,9 +557,9 @@ let optimize_cmd =
   in
   let top_k =
     let doc =
-      "Keep only the $(docv) cheapest feasible designs (streaming \
-       truncation: search memory stays O(frontier + K) however large \
-       the grid) and print them after the frontier."
+      "List the $(docv) cheapest feasible designs after the frontier. \
+       The grid search streams either way: its memory stays \
+       O(frontier + K) however large the grid."
     in
     Arg.(value & opt (some positive_int_conv) None
          & info [ "top-k" ] ~docv:"K" ~doc)
@@ -567,8 +567,7 @@ let optimize_cmd =
   let grid_scale =
     let doc =
       "Densify the candidate grid (O($(docv)^3) candidates; 1 = the \
-       default ~100-design grid). Large grids are meant for --top-k \
-       streaming searches."
+       default ~100-design grid)."
     in
     Arg.(value & opt positive_int_conv 1 & info [ "grid-scale" ] ~docv:"S" ~doc)
   in
@@ -584,9 +583,8 @@ let optimize_cmd =
     let doc =
       "Search method: $(b,grid) evaluates the whole grid (the streaming \
        reference), $(b,anneal) runs seeded simulated annealing within \
-       $(b,--budget) proposals, $(b,bnb) runs branch-and-bound pruning \
-       subtrees with the lint feasibility frontier and a monotone cost \
-       bound. All methods report byte-identically whatever $(b,--jobs) is."
+       $(b,--budget) proposals. Both report byte-identically whatever \
+       $(b,--jobs) is."
     in
     let method_conv =
       Arg.conv
@@ -603,7 +601,7 @@ let optimize_cmd =
   let budget_arg =
     let doc =
       "Annealing proposal budget (grid-cell visits; ignored by \
-       $(b,--solver grid) and $(b,bnb)). A budget of 4x the grid makes \
+       $(b,--solver grid)). A budget of 4x the grid makes \
        annealing provably exhaustive; a larger budget never returns a \
        worse design than a smaller one."
     in
@@ -640,19 +638,11 @@ let optimize_cmd =
       json chunk jobs stats stats_json =
     with_engine ?chunk ~jobs ~stats ~stats_json @@ fun engine ->
     let module Solver = Storage_optimize.Solver in
-    let business =
-      Business.make
-        ~outage_penalty_rate:(Money_rate.usd_per_hour 50_000.)
-        ~loss_penalty_rate:(Money_rate.usd_per_hour 50_000.)
-        ?recovery_time_objective:(Option.map Duration.hours rto)
-        ?recovery_point_objective:(Option.map Duration.hours rpo)
-        ()
+    let kit, space, scenarios =
+      Whatif.search_problem ?rto ?rpo ~scale:grid_scale ()
     in
-    let kit = Whatif.search_kit ~business () in
-    let space = Whatif.search_space ~scale:grid_scale () in
-    let scenarios = [ Baseline.scenario_array; Baseline.scenario_site ] in
-    let legacy = solver = Solver.Grid && portfolio = [] && not json in
-    if (top_k <> None || max_candidates <> None) && not legacy then
+    let grid_listing = solver = Solver.Grid && portfolio = [] && not json in
+    if (top_k <> None || max_candidates <> None) && not grid_listing then
       Error
         "--top-k and --max-candidates apply to the default grid search \
          only (no --solver, --portfolio or --json)"
@@ -660,15 +650,14 @@ let optimize_cmd =
       Error
         "--rto/--rpo conflict with --portfolio: each member's objectives \
          come from its design file"
-    else if legacy then begin
-      let candidates = Storage_optimize.Candidate.enumerate kit space in
+    else if portfolio = [] then begin
       let over_budget =
         (* Enumeration is lazy and persistent, so counting here builds one
            design at a time and retains none of them. *)
         match max_candidates with
         | None -> None
         | Some bound ->
-          let n = Seq.length candidates in
+          let n = Seq.length (Storage_optimize.Candidate.enumerate kit space) in
           if n > bound then Some (n, bound) else None
       in
       match over_budget with
@@ -680,29 +669,14 @@ let optimize_cmd =
              n bound)
       | None ->
         let result =
-          Storage_optimize.Search.run ~engine ?top_k candidates scenarios
+          Solver.run ~engine ?budget ?seed ?top_k ~method_:solver kit space
+            scenarios
         in
-        Fmt.pr "%a@." Storage_optimize.Search.pp result;
-        (match top_k with
-        | None -> ()
-        | Some k ->
-          Fmt.pr "top %d feasible (of %d):@." (min k result.feasible_count)
-            result.Storage_optimize.Search.feasible_count;
-          List.iteri
-            (fun i s ->
-              Fmt.pr "  %2d. %a@." (i + 1) Storage_optimize.Objective.pp s)
-            result.Storage_optimize.Search.feasible);
+        if json then
+          print_endline
+            (Storage_report.Json.to_string_pretty (Solver.to_json result))
+        else Fmt.pr "%a@." Solver.pp result;
         Ok ()
-    end
-    else if portfolio = [] then begin
-      let result =
-        Solver.run ~engine ?budget ?seed ~method_:solver kit space scenarios
-      in
-      if json then
-        print_endline
-          (Storage_report.Json.to_string_pretty (Solver.to_json result))
-      else Fmt.pr "%a@." Solver.pp result;
-      Ok ()
     end
     else begin
       let ( let* ) = Result.bind in
@@ -744,9 +718,8 @@ let optimize_cmd =
     Cmd.info "optimize"
       ~doc:
         "Search the design space for the cheapest design meeting the given \
-         RTO/RPO under array and site failures — exhaustively, by seeded \
-         simulated annealing, or by branch-and-bound; single designs or \
-         joint portfolios."
+         RTO/RPO under array and site failures — exhaustively or by seeded \
+         simulated annealing; single designs or joint portfolios."
   in
   Cmd.v info Term.(term_result' term)
 

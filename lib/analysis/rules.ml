@@ -278,7 +278,7 @@ let check (ctx : Source.ctx) parsed =
     | Psig_value vd
       when ctx.kind = Source.Intf && in_lib && lib_sub <> Some "engine" ->
       (* The [@@deprecated] exemption that once grandfathered the
-         legacy_* migration shims is gone with the shims themselves:
+         old migration shims is gone with the shims themselves:
          every engine-context argument outside lib/engine is now an
          error, full stop. *)
       let rec arrows ty =

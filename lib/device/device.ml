@@ -90,14 +90,6 @@ let available_bandwidth t labeled =
   let u = utilization t labeled in
   Rate.sub (max_bandwidth t) u.bandwidth_used
 
-let provisioned_capacity t labeled =
-  let u = utilization t labeled in
-  Size.scale (float_of_int u.capacity_slots_needed) t.slot_capacity
-
-let provisioned_bandwidth t labeled =
-  let u = utilization t labeled in
-  Rate.scale (float_of_int u.bandwidth_slots_needed) t.slot_bandwidth
-
 let pp ppf t =
   Fmt.pf ppf "@[<v>device %s @ %a:@,  cap = %d x %a = %a@,  bw  = %a@]" t.name
     Location.pp t.location t.max_capacity_slots Size.pp t.slot_capacity Size.pp

@@ -86,11 +86,5 @@ val available_bandwidth : t -> Demand.labeled list -> Rate.t
 (** Bandwidth left over after the normal-mode propagation demands; this is
     the rate available to a recovery transfer (§3.3.4). *)
 
-val provisioned_capacity : t -> Demand.labeled list -> Size.t
-(** Capacity rounded up to whole slots, used for costing. *)
-
-val provisioned_bandwidth : t -> Demand.labeled list -> Rate.t
-(** Bandwidth rounded up to whole slots, used for costing. *)
-
 val pp : t Fmt.t
 val pp_utilization : utilization Fmt.t

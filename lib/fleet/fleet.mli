@@ -47,8 +47,6 @@ val rates :
   rates
 (** Raises [Invalid_argument] on a negative or non-finite rate. *)
 
-val default_rates : rates
-
 type config = {
   trials : int;
   horizon : Duration.t;  (** operating period simulated per trial *)
@@ -63,7 +61,7 @@ val config :
   ?rates:rates ->
   unit ->
   config
-(** Defaults: 1000 trials, 5 years, the framework seed, {!default_rates}.
+(** Defaults: 1000 trials, 5 years, the framework seed, [rates ()].
     Raises [Invalid_argument] when [trials < 1] or the horizon is not
     positive. *)
 
@@ -129,7 +127,12 @@ type report = {
   seed : int64;
   failures : int;  (** failure events sampled across all trials *)
   failed_trials : int;  (** trials with at least one failure *)
-  multi_event_trials : int;  (** trials executed by {!Sim.run_events} *)
+  multi_event_trials : int;
+      (** trials with at least two sampled failures. Not a count of
+          {!Sim.run_events} executions: clustering runs singleton
+          clusters through {!single_event_measured} and may run one trial
+          through [Sim.run_events] several times. The [sim.multi_runs]
+          counter counts those executions. *)
   availability : float;  (** mean fraction of the horizon available *)
   availability_nines : float;
       (** [-log10 (1 - availability)]; infinite when no outage at all was

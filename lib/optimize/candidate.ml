@@ -77,13 +77,7 @@ let scaled_space ~scale =
       mirror_links = [ 1; 2; 3; 4; 6; 8; 10 ];
     }
 
-(* --- shared level construction ---
-
-   [enumerate] and the solver's point decoder must produce structurally
-   identical designs for the same grid coordinates (the testkit oracle
-   compares their optima, and a shared engine cache should hit across
-   both), so every level — and every name fragment — is built by exactly
-   one function. *)
+(* --- level construction --- *)
 
 let primary_level kit =
   {
@@ -92,6 +86,9 @@ let primary_level kit =
     link = None;
   }
 
+(* Each level comes with the name fragment it contributes, joining text
+   included, so a tape design's name is three shared strings
+   concatenated. *)
 let backup_level kit space backup_acc =
   let backup_prop =
     Duration.min (Duration.scale 0.5 backup_acc) (Duration.hours 48.)
@@ -107,7 +104,7 @@ let backup_level kit space backup_acc =
       device = kit.tape_library;
       link = Some kit.san;
     },
-    label_duration backup_acc )
+    label_duration backup_acc ^ ", vault/" )
 
 let vault_level kit space vault_acc =
   let vault_schedule =
@@ -125,7 +122,7 @@ let vault_level kit space vault_acc =
     },
     label_duration vault_acc )
 
-let pit_parts kit pit_kind pit_acc pit_ret =
+let pit_level kit pit_kind pit_acc pit_ret =
   let pit_prefix =
     match pit_kind with `Split_mirror -> "mirror" | `Snapshot -> "snap"
   in
@@ -136,25 +133,26 @@ let pit_parts kit pit_kind pit_acc pit_ret =
     | `Snapshot -> Technique.Virtual_snapshot pit_schedule
   in
   ( { Hierarchy.technique = pit_technique; device = kit.primary; link = None },
-    pit_prefix ^ "/" ^ label_duration pit_acc ^ " x" ^ string_of_int pit_ret )
+    pit_prefix ^ "/" ^ label_duration pit_acc ^ " x" ^ string_of_int pit_ret
+    ^ ", backup/" )
 
 let mirror_level kit links =
   let schedule =
     Schedule.simple ~acc:(Duration.minutes 1.) ~prop:(Duration.minutes 1.)
       ~retention_count:1 ()
   in
-  {
-    Hierarchy.technique =
-      Technique.Remote_mirror { mode = Technique.Asynchronous_batch; schedule };
-    device = kit.remote_array;
-    link = Some (kit.wan links);
-  }
+  ( {
+      Hierarchy.technique =
+        Technique.Remote_mirror { mode = Technique.Asynchronous_batch; schedule };
+      device = kit.remote_array;
+      link = Some (kit.wan links);
+    },
+    "asyncB mirror x" ^ string_of_int links )
 
-(* Assemble + the enumerate-time filter: a level stack that violates the
-   hierarchy conventions, or a design the linter would reject, yields
-   [None] — the same acceptance predicate everywhere a grid point becomes
-   a design. *)
-let assemble ?(background = []) kit ~name levels =
+(* A level stack that violates the hierarchy conventions, or a design the
+   linter would reject, yields [None]: the one acceptance predicate by
+   which a grid point becomes a design. *)
+let assemble ~background kit ~name levels =
   match Hierarchy.make levels with
   | Error _ -> None
   | Ok hierarchy ->
@@ -163,49 +161,6 @@ let assemble ?(background = []) kit ~name levels =
         ~business:kit.business ~background ()
     in
     if Design.validate design = Ok () then Some design else None
-
-(* The inner loop of [tape_designs] runs once per grid point, so anything
-   that varies along only one axis — schedules, hierarchy-level records,
-   name fragments — is precomputed per axis value and shared across every
-   combination it appears in. Besides the construction time, the sharing
-   keeps long-lived design accumulators (Pareto fronts, top-k sets) from
-   retaining a private copy of each schedule per design. The axis tables
-   are rebuilt at most once per traversal of the returned sequence, inside
-   the first forced cell, preserving [enumerate]'s laziness. *)
-let tape_designs kit space =
-  fun () ->
-    let primary_level = primary_level kit in
-    let backups = List.map (backup_level kit space) space.backup_accumulations in
-    let vaults = List.map (vault_level kit space) space.vault_accumulations in
-    let ( let* ) xs f = Seq.concat_map f (List.to_seq xs) in
-    (let* pit_kind = space.pit_techniques in
-     let* pit_acc = space.pit_accumulations in
-     let* pit_ret = space.pit_retentions in
-     let pit_level, pit_fragment = pit_parts kit pit_kind pit_acc pit_ret in
-     let pit_name = pit_fragment ^ ", backup/" in
-     let* backup_level, backup_label = backups in
-     let backup_name = pit_name ^ backup_label ^ ", vault/" in
-     Seq.filter_map
-       (fun (vault_level, vault_label) ->
-         assemble kit
-           ~name:(backup_name ^ vault_label)
-           [ primary_level; pit_level; backup_level; vault_level ])
-       (List.to_seq vaults))
-      ()
-
-let mirror_designs kit space =
-  fun () ->
-    let primary_level = primary_level kit in
-    Seq.filter_map
-      (fun links ->
-        assemble kit
-          ~name:("asyncB mirror x" ^ string_of_int links)
-          [ primary_level; mirror_level kit links ])
-      (List.to_seq space.mirror_links)
-      ()
-
-let enumerate kit space =
-  Seq.append (tape_designs kit space) (mirror_designs kit space)
 
 (* --- the grid as an indexed coordinate space --- *)
 
@@ -227,8 +182,8 @@ let tape_count space =
 let mirror_count space = List.length space.mirror_links
 let point_count space = tape_count space + mirror_count space
 
-(* Mixed-radix decode in [enumerate]'s order: the tape family first
-   (pit kind outermost, vault innermost), then the mirrors. *)
+(* Mixed-radix decode: the tape family first (pit kind outermost, vault
+   innermost), then the mirrors. *)
 let point_of_index space i =
   let tapes = tape_count space in
   if i < 0 || i >= tapes + mirror_count space then
@@ -250,88 +205,75 @@ let point_of_index space i =
 let points space =
   Seq.map (point_of_index space) (Seq.init (point_count space) Fun.id)
 
+(* Everything that varies along fewer than all axes is built once here
+   and shared by every cell it appears in: the PiT level per (kind, acc,
+   ret), the backup, vault and mirror levels per value, and their name
+   fragments. Besides the construction time, the sharing keeps
+   long-lived design accumulators (Pareto fronts, top-k sets) from
+   retaining a private copy of each schedule per design. *)
 type axes = {
   akit : kit;
   background : (string * Storage_device.Demand.labeled list) list;
   aprimary : Hierarchy.level;
-  pit_kinds : [ `Split_mirror | `Snapshot ] array;
-  pit_accs : Duration.t array;
-  pit_rets : int array;
+  nacc : int;
+  nret : int;
+  apits : (Hierarchy.level * string) array;
+      (** indexed [(pit * nacc + pit_acc) * nret + pit_ret] *)
   abackups : (Hierarchy.level * string) array;
   avaults : (Hierarchy.level * string) array;
-  amirrors : int array;
+  amirrors : (Hierarchy.level * string) array;
 }
 
 let axes ?(background = []) kit space =
+  let level_table f xs = Array.of_list (List.map f xs) in
   {
     akit = kit;
     background;
     aprimary = primary_level kit;
-    pit_kinds = Array.of_list space.pit_techniques;
-    pit_accs = Array.of_list space.pit_accumulations;
-    pit_rets = Array.of_list space.pit_retentions;
-    abackups =
-      Array.of_list (List.map (backup_level kit space) space.backup_accumulations);
-    avaults =
-      Array.of_list (List.map (vault_level kit space) space.vault_accumulations);
-    amirrors = Array.of_list space.mirror_links;
+    nacc = List.length space.pit_accumulations;
+    nret = List.length space.pit_retentions;
+    apits =
+      Array.of_list
+        (List.concat_map
+           (fun kind ->
+             List.concat_map
+               (fun acc ->
+                 List.map (pit_level kit kind acc) space.pit_retentions)
+               space.pit_accumulations)
+           space.pit_techniques);
+    abackups = level_table (backup_level kit space) space.backup_accumulations;
+    avaults = level_table (vault_level kit space) space.vault_accumulations;
+    amirrors = level_table (mirror_level kit) space.mirror_links;
   }
 
 let in_range a i = i >= 0 && i < Array.length a
 
 let design_of_point t = function
   | Tape { pit; pit_acc; pit_ret; backup; vault } ->
+    let p = (((pit * t.nacc) + pit_acc) * t.nret) + pit_ret in
     if
-      in_range t.pit_kinds pit && in_range t.pit_accs pit_acc
-      && in_range t.pit_rets pit_ret && in_range t.abackups backup
+      pit_acc >= 0 && pit_acc < t.nacc && pit_ret >= 0 && pit_ret < t.nret
+      && in_range t.apits p && in_range t.abackups backup
       && in_range t.avaults vault
     then begin
-      let pit_level, pit_fragment =
-        pit_parts t.akit t.pit_kinds.(pit) t.pit_accs.(pit_acc)
-          t.pit_rets.(pit_ret)
-      in
-      let backup_level, backup_label = t.abackups.(backup) in
-      let vault_level, vault_label = t.avaults.(vault) in
+      let pit_level, pit_name = t.apits.(p) in
+      let backup_level, backup_name = t.abackups.(backup) in
+      let vault_level, vault_name = t.avaults.(vault) in
       assemble ~background:t.background t.akit
-        ~name:(pit_fragment ^ ", backup/" ^ backup_label ^ ", vault/" ^ vault_label)
+        ~name:(pit_name ^ backup_name ^ vault_name)
         [ t.aprimary; pit_level; backup_level; vault_level ]
     end
     else None
   | Mirror { links } ->
-    if in_range t.amirrors links then
-      assemble ~background:t.background t.akit
-        ~name:("asyncB mirror x" ^ string_of_int t.amirrors.(links))
-        [ t.aprimary; mirror_level t.akit t.amirrors.(links) ]
+    if in_range t.amirrors links then begin
+      let mirror_level, name = t.amirrors.(links) in
+      assemble ~background:t.background t.akit ~name
+        [ t.aprimary; mirror_level ]
+    end
     else None
 
-let tape_prefix t ~pit ~pit_acc ~pit_ret ?backup () =
-  if
-    not
-      (in_range t.pit_kinds pit && in_range t.pit_accs pit_acc
-      && in_range t.pit_rets pit_ret)
-  then None
-  else begin
-    let pit_level, pit_fragment =
-      pit_parts t.akit t.pit_kinds.(pit) t.pit_accs.(pit_acc) t.pit_rets.(pit_ret)
-    in
-    let levels, name =
-      match backup with
-      | None -> ([ t.aprimary; pit_level ], "prefix " ^ pit_fragment)
-      | Some b ->
-        if not (in_range t.abackups b) then ([], "")
-        else begin
-          let backup_level, backup_label = t.abackups.(b) in
-          ( [ t.aprimary; pit_level; backup_level ],
-            "prefix " ^ pit_fragment ^ ", backup/" ^ backup_label )
-        end
-    in
-    if levels = [] then None
-    else begin
-      match Hierarchy.make levels with
-      | Error _ -> None
-      | Ok hierarchy ->
-        Some
-          (Design.make ~name ~workload:t.akit.workload ~hierarchy
-             ~business:t.akit.business ~background:t.background ())
-    end
-  end
+(* The axis tables are built inside the first forced cell, once per
+   traversal, so an unforced grid costs nothing. *)
+let enumerate ?background kit space () =
+  let axes = axes ?background kit space in
+  Seq.filter_map (design_of_point axes) (points space) ()

@@ -48,24 +48,15 @@ val scaled_space : scale:int -> space
     {!default_space}; [scale = 7] is on the order of 10^5 candidates —
     sized for streaming search, not for materializing. *)
 
-val enumerate : kit -> space -> Design.t Seq.t
-(** All structurally valid candidate designs, lazily: the tape-based
-    family (PiT x backup x vault policies) followed by the mirror family
-    (one per link count). Design names encode their parameters. Each
-    element is built (and validated) only when forced, so a grid of a
-    million candidates costs no memory until — and no more than a
-    window's worth while — it is consumed; the sequence is persistent and
-    re-enumerates on re-traversal. *)
-
 (** {1 The grid as a coordinate space}
 
-    The solver layer ({!Solver}) navigates the grid by coordinates rather
-    than by enumeration: a {!point} names one combination of axis indices,
-    and neighborhood moves are small index perturbations. Decoding a point
-    runs the very same construction code as {!enumerate}, so a solver that
-    lands on grid cell [i] builds a design structurally identical to the
-    [i]-th enumerated candidate — optima are comparable across the two
-    paths, and a shared engine cache hits across both. *)
+    A {!point} names one combination of axis indices. {!points} walks
+    every point in grid order; {!design_of_point} decodes one through
+    per-axis tables ({!axes}). {!enumerate} is exactly that walk and
+    that decoder, and the solver's moves ({!Solver}) decode their points
+    with the same tables, so grid cell [i] is the same design whichever
+    way it is reached: optima are comparable across methods, and a
+    shared engine cache hits across them. *)
 
 type point =
   | Tape of { pit : int; pit_acc : int; pit_ret : int; backup : int; vault : int }
@@ -94,11 +85,13 @@ val point_of_index : space -> int -> point
     [Invalid_argument] outside [0, point_count)]. *)
 
 val points : space -> point Seq.t
-(** All points, lazily, in {!enumerate}'s order. *)
+(** All points, lazily, in {!point_of_index} order. *)
 
 type axes
-(** Per-axis level tables precomputed once per [(kit, space)] — the
-    decoder the solver evaluates points through. May carry background
+(** Per-axis level tables precomputed once per [(kit, space)]: the PiT
+    level and name fragment per (kind, accumulation, retention), and the
+    backup, vault and mirror levels per value. Every design decoded
+    through one [axes] shares these records. May carry background
     demands (see {!axes}) so a portfolio member's candidates are priced
     under its neighbors' load. *)
 
@@ -108,21 +101,25 @@ val axes :
   space ->
   axes
 (** [background] is attached to every decoded design (see
-    {!Storage_model.Design.make}); default none, matching {!enumerate}. *)
+    {!Storage_model.Design.make}); default none. *)
 
 val design_of_point : axes -> point -> Design.t option
 (** Decode one grid cell; [None] when the combination is structurally
-    invalid or lint-rejected — exactly the candidates {!enumerate} would
-    have skipped. Out-of-range indices are [None], never an exception, so
-    solver moves may probe freely. *)
+    invalid (hierarchy conventions) or lint-rejected. Out-of-range
+    indices are [None], never an exception, so solver moves may probe
+    freely. *)
 
-val tape_prefix :
-  axes -> pit:int -> pit_acc:int -> pit_ret:int -> ?backup:int -> unit ->
-  Design.t option
-(** The partial design shared by every completion of a tape-family
-    subtree: hierarchy [primary; pit] (or [primary; pit; backup] when
-    [?backup] is given) over the kit's workload. Unlike
-    {!design_of_point} the result is {e not} validity-filtered — the
-    branch-and-bound bound ({!Bound}) judges it. [None] only when the
-    prefix itself violates hierarchy conventions. *)
-
+val enumerate :
+  ?background:(string * Storage_device.Demand.labeled list) list ->
+  kit ->
+  space ->
+  Design.t Seq.t
+(** All structurally valid candidate designs, lazily:
+    [Seq.filter_map (design_of_point (axes ?background kit space))
+    (points space)] — the tape-based family (PiT x backup x vault
+    policies) followed by the mirror family (one per link count). Design
+    names encode their parameters. Each element is built (and validated)
+    only when forced, so a grid of a million candidates costs no memory
+    until — and no more than a window's worth while — it is consumed;
+    the sequence is persistent, and each traversal builds its own
+    {!axes} inside its first forced cell. *)

@@ -4,24 +4,16 @@ open Storage_model
 module Engine = Storage_engine
 module Json = Storage_report.Json
 
-type method_ = Grid | Anneal | Bnb
+type method_ = Grid | Anneal
 
-let method_name = function Grid -> "grid" | Anneal -> "anneal" | Bnb -> "bnb"
+let method_name = function Grid -> "grid" | Anneal -> "anneal"
 
 let method_of_string = function
   | "grid" -> Ok Grid
   | "anneal" -> Ok Anneal
-  | "bnb" -> Ok Bnb
-  | s -> Error (Printf.sprintf "unknown solver %S, expected grid, anneal or bnb" s)
+  | s -> Error (Printf.sprintf "unknown solver %S, expected grid or anneal" s)
 
-type stats = {
-  evaluations : int;
-  considered : int;
-  accepted : int;
-  pruned_cost : int;
-  pruned_infeasible : int;
-  probes : int;
-}
+type stats = { evaluations : int; considered : int; accepted : int }
 
 type result = {
   method_ : method_;
@@ -30,20 +22,17 @@ type result = {
   seed : int64;
   best : Objective.summary option;
   stats : stats;
-  pruned : Candidate.point list list;
+  listing : Search.result option;
+  top_k : int option;
 }
 
 let default_budget = 2048
 
-(* Solver throughput and pruning effectiveness, alongside the search.*
-   family: evaluations requested (cache hits included), grid cells cut
-   before evaluation, bound probes paid to cut them. *)
+(* Solver throughput alongside the search.* family: evaluations requested
+   (cache hits included) and annealing moves accepted. *)
 let t_solver = Storage_obs.Timer.make "solver.run"
 let obs_evaluations = Storage_obs.Counter.make "solver.evaluations"
 let obs_accepted = Storage_obs.Counter.make "solver.moves.accepted"
-let obs_pruned_cost = Storage_obs.Counter.make "solver.pruned.cost"
-let obs_pruned_infeasible = Storage_obs.Counter.make "solver.pruned.infeasible"
-let obs_probes = Storage_obs.Counter.make "solver.bound.probes"
 
 let () =
   Storage_obs.gauge "solver.evals_per_second" (fun () ->
@@ -52,216 +41,56 @@ let () =
         float_of_int (Storage_obs.Counter.value obs_evaluations) /. s
       else 0.)
 
-let zero_stats =
-  {
-    evaluations = 0;
-    considered = 0;
-    accepted = 0;
-    pruned_cost = 0;
-    pruned_infeasible = 0;
-    probes = 0;
-  }
+(* The exhaustive grid: one streaming pass of [Search.run] over the
+   enumerated candidates. Only the [top_k] cheapest feasible summaries
+   (one when not asked) and the frontier are retained. *)
+let run_grid ~engine ?background ?top_k kit space scenarios =
+  let candidates = Candidate.enumerate ?background kit space in
+  let listing =
+    if Seq.is_empty candidates then
+      { Search.evaluated = []; feasible = []; frontier = []; best = None;
+        considered = 0; feasible_count = 0 }
+    else
+      Search.run ~engine
+        ~top_k:(Option.value top_k ~default:1)
+        candidates scenarios
+  in
+  let n = listing.Search.considered in
+  (listing, { evaluations = n; considered = n; accepted = 0 })
 
-(* --- exhaustive grid (the legacy path, as a solver method) --- *)
-
-let run_grid ~engine ~axes ~space scenarios =
-  let candidates =
-    Seq.filter_map (Candidate.design_of_point axes) (Candidate.points space)
-  in
-  match Seq.uncons candidates with
-  | None -> (None, zero_stats)
-  | Some _ ->
-    let r = Search.run ~engine ~top_k:1 candidates scenarios in
-    ( r.Search.best,
-      { zero_stats with
-        evaluations = r.Search.considered;
-        considered = r.Search.considered } )
-
-(* --- branch and bound --- *)
-
-let run_bnb ~engine ~record_pruned ~axes ~space scenarios =
-  let incumbent = ref None in
-  let incumbent_cost = ref None in
-  let evaluations = ref 0 and considered = ref 0 in
-  let pruned_cost = ref 0 and pruned_infeasible = ref 0 and probes = ref 0 in
-  let regions = ref [] in
-  let note kind region_points =
-    let n = List.length region_points in
-    (match kind with
-    | `Cost -> pruned_cost := !pruned_cost + n
-    | `Infeasible -> pruned_infeasible := !pruned_infeasible + n);
-    if record_pruned && region_points <> [] then
-      regions := region_points :: !regions
-  in
-  let update (s : Objective.summary) =
-    if s.Objective.feasible then begin
-      match !incumbent_cost with
-      | Some c when Money.compare s.Objective.worst_total_cost c >= 0 -> ()
-      | _ ->
-        incumbent := Some s;
-        incumbent_cost := Some s.Objective.worst_total_cost
-    end
-  in
-  (* Evaluate a batch of leaf cells: decode (the decoder is the lint
-     pre-filter), summarize across the engine pool, fold in input order.
-     Pruning decisions only ever read the incumbent between batches, so
-     the result is --jobs-invariant. *)
-  let eval_leaves pts =
-    let decoded = List.filter_map (Candidate.design_of_point axes) pts in
-    considered := !considered + List.length pts;
-    let summaries =
-      Engine.map engine (fun d -> Objective.summarize ~engine d scenarios) decoded
-    in
-    evaluations := !evaluations + List.length decoded;
-    List.iter update summaries
-  in
-  let nk, na, nr, nb, nv = Candidate.tape_dims space in
-  let nm = Candidate.mirror_count space in
-  (* The mirror family first: it is tiny, its optima are strong (few
-     devices, no tape robots), and an early incumbent is what gives the
-     tape-family cost bound its teeth. Links are evaluated in listed
-     order; when the axis is sorted ascending, outlays grow with the
-     bundle, so once a link count's outlays reach the incumbent's total
-     the rest of the axis is cut. *)
-  let mirror_ascending =
-    let rec sorted = function
-      | a :: (b :: _ as rest) -> a < b && sorted rest
-      | _ -> true
-    in
-    sorted space.Candidate.mirror_links
-  in
-  let rec mirrors i =
-    if i < nm then begin
-      incr considered;
-      match Candidate.design_of_point axes (Candidate.Mirror { links = i }) with
-      | None -> mirrors (i + 1)
-      | Some d ->
-        let s = Objective.summarize ~engine d scenarios in
-        incr evaluations;
-        update s;
-        let cut =
-          mirror_ascending
-          &&
-          match !incumbent_cost with
-          | None -> false
-          | Some c -> Money.compare s.Objective.outlays c >= 0
-        in
-        if cut then
-          note `Cost
-            (List.init (nm - i - 1) (fun j ->
-                 Candidate.Mirror { links = i + 1 + j }))
-        else mirrors (i + 1)
-    end
-  in
-  mirrors 0;
-  (* The tape family, branching pit-kind / pit-retention / pit-acc /
-     backup-acc with vault leaves batched. Along each ascending pit-acc
-     axis the lint feasibility frontier is located by geometric bisection
-     when the axis is long enough to pay for it. *)
-  let subtree ~pit ~pit_acc ~pit_ret =
-    List.concat
-      (List.init nb (fun backup ->
-           List.init nv (fun vault ->
-               Candidate.Tape { pit; pit_acc; pit_ret; backup; vault })))
-  in
-  let vault_leaves ~pit ~pit_acc ~pit_ret ~backup =
-    List.init nv (fun vault ->
-        Candidate.Tape { pit; pit_acc; pit_ret; backup; vault })
-  in
-  let backups ~pit ~pit_acc ~pit_ret =
-    for backup = 0 to nb - 1 do
-      let prefix =
-        Candidate.tape_prefix axes ~pit ~pit_acc ~pit_ret ~backup ()
-      in
-      if prefix <> None then incr probes;
-      match Bound.judge ~incumbent:!incumbent_cost prefix with
-      | Bound.Cut_infeasible ->
-        note `Infeasible (vault_leaves ~pit ~pit_acc ~pit_ret ~backup)
-      | Bound.Cut_cost ->
-        note `Cost (vault_leaves ~pit ~pit_acc ~pit_ret ~backup)
-      | Bound.Admit -> eval_leaves (vault_leaves ~pit ~pit_acc ~pit_ret ~backup)
-    done
-  in
-  for pit = 0 to nk - 1 do
-    for pit_ret = 0 to nr - 1 do
-      let admit pit_acc =
-        incr probes;
-        match Candidate.tape_prefix axes ~pit ~pit_acc ~pit_ret () with
-        | None -> true
-        | Some p -> Storage_lint.accepts p
-      in
-      let start =
-        if na < Bound.bisection_threshold then 0
-        else begin
-          match Bound.frontier ~admit na with
-          | Some a0 ->
-            if a0 > 0 then
-              List.iter
-                (fun pit_acc -> note `Infeasible (subtree ~pit ~pit_acc ~pit_ret))
-                (List.init a0 Fun.id);
-            a0
-          | None ->
-            List.iter
-              (fun pit_acc -> note `Infeasible (subtree ~pit ~pit_acc ~pit_ret))
-              (List.init na Fun.id);
-            na
-        end
-      in
-      for pit_acc = start to na - 1 do
-        let prefix = Candidate.tape_prefix axes ~pit ~pit_acc ~pit_ret () in
-        if prefix <> None then incr probes;
-        match Bound.judge ~incumbent:!incumbent_cost prefix with
-        | Bound.Cut_infeasible -> note `Infeasible (subtree ~pit ~pit_acc ~pit_ret)
-        | Bound.Cut_cost -> note `Cost (subtree ~pit ~pit_acc ~pit_ret)
-        | Bound.Admit -> backups ~pit ~pit_acc ~pit_ret
-      done
-    done
-  done;
-  ( !incumbent,
-    {
-      evaluations = !evaluations;
-      considered = !considered;
-      accepted = 0;
-      pruned_cost = !pruned_cost;
-      pruned_infeasible = !pruned_infeasible;
-      probes = !probes;
-    },
-    List.rev !regions )
-
-(* --- dispatch --- *)
-
-let run_in ~engine ?(budget = default_budget) ?seed ?(record_pruned = false)
-    ?background ~method_ kit space scenarios =
+let run_in ~engine ?(budget = default_budget) ?seed ?top_k ?background
+    ~method_ kit space scenarios =
   if scenarios = [] then invalid_arg "Solver.run: no scenarios";
   if budget < 1 then invalid_arg "Solver.run: budget must be >= 1";
+  (match (method_, top_k) with
+  | _, Some k when k < 1 -> invalid_arg "Solver.run: top_k must be >= 1"
+  | Anneal, Some _ -> invalid_arg "Solver.run: top_k applies to grid only"
+  | _ -> ());
   let grid_points = Candidate.point_count space in
   if grid_points = 0 then invalid_arg "Solver.run: empty candidate space";
   let seed = match seed with Some s -> s | None -> Engine.seed engine in
   Storage_obs.Timer.time t_solver @@ fun () ->
-  let axes = Candidate.axes ?background kit space in
-  let best, stats, pruned =
+  let best, stats, listing =
     match method_ with
     | Grid ->
-      let best, stats = run_grid ~engine ~axes ~space scenarios in
-      (best, stats, [])
-    | Bnb -> run_bnb ~engine ~record_pruned ~axes ~space scenarios
+      let listing, stats =
+        run_grid ~engine ?background ?top_k kit space scenarios
+      in
+      (listing.Search.best, stats, Some listing)
     | Anneal ->
+      let axes = Candidate.axes ?background kit space in
       let o = Anneal.run ~engine ~budget ~seed ~space ~axes scenarios in
       ( o.Anneal.best,
-        { zero_stats with
-          evaluations = o.Anneal.evaluations;
+        { evaluations = o.Anneal.evaluations;
           considered = o.Anneal.proposals;
           accepted = o.Anneal.accepted },
-        [] )
+        None )
   in
   Storage_obs.Counter.add obs_evaluations stats.evaluations;
   Storage_obs.Counter.add obs_accepted stats.accepted;
-  Storage_obs.Counter.add obs_pruned_cost stats.pruned_cost;
-  Storage_obs.Counter.add obs_pruned_infeasible stats.pruned_infeasible;
-  Storage_obs.Counter.add obs_probes stats.probes;
-  { method_; grid_points; budget; seed; best; stats; pruned }
+  { method_; grid_points; budget; seed; best; stats; listing; top_k }
 
-let run ?engine ?budget ?seed ?record_pruned ?background ~method_ kit space
+let run ?engine ?budget ?seed ?top_k ?background ~method_ kit space
     scenarios =
   let owned, engine =
     match engine with Some e -> (false, e) | None -> (true, Engine.create ())
@@ -269,8 +98,8 @@ let run ?engine ?budget ?seed ?record_pruned ?background ~method_ kit space
   Fun.protect
     ~finally:(fun () -> if owned then Engine.shutdown engine)
     (fun () ->
-      run_in ~engine ?budget ?seed ?record_pruned ?background ~method_ kit
-        space scenarios)
+      run_in ~engine ?budget ?seed ?top_k ?background ~method_ kit space
+        scenarios)
 
 (* --- hierarchical portfolio roll-up --- *)
 
@@ -467,26 +296,25 @@ let solve_portfolio ?engine ?budget ?seed ?(rounds = 2) ~method_ ~kit ~space
 (* --- rendering --- *)
 
 let pp ppf r =
-  let best ppf = function
-    | Some s -> Fmt.pf ppf "best: %a" Objective.pp s
-    | None -> Fmt.pf ppf "no feasible design in the grid"
-  in
-  match r.method_ with
-  | Grid ->
-    Fmt.pf ppf "@[<v>solver grid: %d grid points, %d evaluated@,%a@]"
-      r.grid_points r.stats.evaluations best r.best
-  | Anneal ->
+  match r.listing with
+  | Some l ->
+    let top ppf k =
+      Fmt.pf ppf "@,top %d feasible (of %d):" (min k l.Search.feasible_count)
+        l.Search.feasible_count;
+      List.iteri
+        (fun i s -> Fmt.pf ppf "@,  %2d. %a" (i + 1) Objective.pp s)
+        l.Search.feasible
+    in
+    Fmt.pf ppf "@[<v>%a%a@]" Search.pp l (Fmt.option top) r.top_k
+  | None ->
+    let best ppf = function
+      | Some s -> Fmt.pf ppf "best: %a" Objective.pp s
+      | None -> Fmt.pf ppf "no feasible design in the grid"
+    in
     Fmt.pf ppf
       "@[<v>solver anneal: %d grid points, budget %d, %d evaluated, %d moves \
        accepted@,%a@]"
       r.grid_points r.budget r.stats.evaluations r.stats.accepted best r.best
-  | Bnb ->
-    Fmt.pf ppf
-      "@[<v>solver bnb: %d grid points, %d evaluated, %d pruned (%d by cost, \
-       %d infeasible), %d bound probes@,%a@]"
-      r.grid_points r.stats.evaluations
-      (r.stats.pruned_cost + r.stats.pruned_infeasible)
-      r.stats.pruned_cost r.stats.pruned_infeasible r.stats.probes best r.best
 
 let summary_json (s : Objective.summary) =
   Json.Obj
@@ -511,9 +339,6 @@ let to_json r =
       ("evaluations", Json.Int r.stats.evaluations);
       ("considered", Json.Int r.stats.considered);
       ("moves_accepted", Json.Int r.stats.accepted);
-      ("pruned_cost", Json.Int r.stats.pruned_cost);
-      ("pruned_infeasible", Json.Int r.stats.pruned_infeasible);
-      ("bound_probes", Json.Int r.stats.probes);
       ("feasible", Json.Bool (r.best <> None));
       ( "best",
         match r.best with None -> Json.Null | Some s -> summary_json s );

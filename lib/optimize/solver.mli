@@ -2,38 +2,36 @@ open Storage_units
 open Storage_workload
 open Storage_model
 
-(** Solver-grade portfolio optimization over the candidate grid.
+(** Solver-grade portfolio optimization over the candidate grid: the one
+    front end through which [ssdep optimize] and [serve /optimize] search.
 
-    Three interchangeable methods search the same {!Candidate} coordinate
+    Two interchangeable methods search the same {!Candidate} coordinate
     space for the cheapest feasible design:
 
-    - {b grid} — exhaustive streaming evaluation (the reference; the
-      legacy [ssdep optimize] path expressed as a solver method);
+    - {b grid} — exhaustive streaming evaluation ({!Search.run} over
+      {!Candidate.enumerate}, retaining only the frontier and the top-k
+      cheapest feasible designs): the reference;
     - {b anneal} — seeded simulated annealing / local search
       ({!Anneal}): budgeted, jobs-invariant, monotone in budget, and
-      provably exhaustive at budget >= 4 x grid;
-    - {b bnb} — branch and bound over the tape/mirror families, pruning
-      subtrees with the lint feasibility frontier (located by geometric
-      bisection, {!Bound.frontier}) and a monotone outlays lower bound.
+      provably exhaustive at budget >= 4 x grid.
 
-    All methods evaluate through one {!Storage_engine.t} (shared pool,
-    shared cache, [solver.*] observability counters) and fold results in
+    Both evaluate through one {!Storage_engine.t} (shared pool, shared
+    cache, [solver.*] observability counters) and fold results in
     deterministic order, so reports are byte-identical across [--jobs]
     and [--chunk]. The [solver-exhaustive-equivalence] testkit oracle
-    holds all three to exhaustive search on seeded small grids. *)
+    holds annealing to exhaustive search on seeded small grids. *)
 
-type method_ = Grid | Anneal | Bnb
+type method_ = Grid | Anneal
 
 val method_name : method_ -> string
 val method_of_string : string -> (method_, string) Stdlib.result
 
 type stats = {
   evaluations : int;  (** [Objective.summarize] calls (cache hits included). *)
-  considered : int;  (** Grid cells visited (invalid decodes included). *)
-  accepted : int;  (** Annealing moves accepted (0 for grid/bnb). *)
-  pruned_cost : int;  (** Cells cut by the outlays lower bound (bnb). *)
-  pruned_infeasible : int;  (** Cells cut by the lint frontier (bnb). *)
-  probes : int;  (** Prefix evaluations paid to cut them (bnb). *)
+  considered : int;
+      (** Candidates evaluated (grid, after lint pruning) or annealing
+          proposals. *)
+  accepted : int;  (** Annealing moves accepted (0 for grid). *)
 }
 
 type result = {
@@ -45,19 +43,17 @@ type result = {
       (** Cheapest feasible summary found; [None] when the (searched part
           of the) grid holds no feasible design. *)
   stats : stats;
-  pruned : Candidate.point list list;
-      (** With [~record_pruned:true]: each pruned region as the point
-          list it covered, in pruning order — replayable, which is how
-          the B&B soundness property suite audits every cut. *)
+  listing : Search.result option;
+      (** The grid's streaming search result: counts, frontier and the
+          [top_k] cheapest feasible summaries. [None] for anneal. *)
+  top_k : int option;  (** As passed to {!run}. *)
 }
-
-val default_budget : int
 
 val run :
   ?engine:Storage_engine.t ->
   ?budget:int ->
   ?seed:int64 ->
-  ?record_pruned:bool ->
+  ?top_k:int ->
   ?background:(string * Storage_device.Demand.labeled list) list ->
   method_:method_ ->
   Candidate.kit ->
@@ -65,12 +61,15 @@ val run :
   Scenario.t list ->
   result
 (** Search the grid for the cheapest feasible design. [budget] (default
-    {!default_budget}) bounds annealing proposals and is recorded (but
-    not binding) for grid/bnb; [seed] defaults to the engine's seed;
+    2048) bounds annealing proposals and is recorded (but not binding)
+    for grid; [seed] defaults to the engine's seed; [top_k] (grid only)
+    keeps the [k] cheapest feasible designs in [listing] for {!pp} to
+    list — memory stays O(frontier + k) whatever the grid size;
     [background] prices every candidate under externally-imposed device
     load (see {!Candidate.axes}). A transient engine is created (and
     shut down) when none is passed. Raises [Invalid_argument] on an
-    empty space, empty scenarios, or [budget < 1]. *)
+    empty space, empty scenarios, [budget < 1], [top_k < 1], or [top_k]
+    with [Anneal]. *)
 
 (** {1 Hierarchical portfolio roll-up}
 
@@ -138,6 +137,10 @@ val solve_portfolio :
 (** {1 Rendering} *)
 
 val pp : result Fmt.t
+(** Grid: {!Search.pp} of [listing], then — when [top_k] was given — the
+    ranked top-k block. Anneal: the budget, evaluation and move counts,
+    then the best design. *)
+
 val to_json : result -> Storage_report.Json.t
 val pp_portfolio : portfolio_result Fmt.t
 val portfolio_to_json : portfolio_result -> Storage_report.Json.t

@@ -149,3 +149,16 @@ let search_kit ?(business = Baseline.business) () =
   }
 
 let search_space ?(scale = 1) () = Storage_optimize.Candidate.scaled_space ~scale
+
+let search_problem ?rto ?rpo ?scale () =
+  let business =
+    Business.make
+      ~outage_penalty_rate:(Money_rate.usd_per_hour 50_000.)
+      ~loss_penalty_rate:(Money_rate.usd_per_hour 50_000.)
+      ?recovery_time_objective:(Option.map Duration.hours rto)
+      ?recovery_point_objective:(Option.map Duration.hours rpo)
+      ()
+  in
+  ( search_kit ~business (),
+    search_space ?scale (),
+    [ Baseline.scenario_array; Baseline.scenario_site ] )

@@ -44,3 +44,16 @@ val search_space : ?scale:int -> unit -> Storage_optimize.Candidate.space
 (** {!Storage_optimize.Candidate.scaled_space}: [~scale:1] (default) is
     the ~100-design default grid; larger scales grow O(scale^3) for
     streaming-search workloads. *)
+
+val search_problem :
+  ?rto:float ->
+  ?rpo:float ->
+  ?scale:int ->
+  unit ->
+  Storage_optimize.Candidate.kit
+  * Storage_optimize.Candidate.space
+  * Scenario.t list
+(** The problem [ssdep optimize] and [serve /optimize] solve: {!search_kit}
+    under $50k/h outage and loss penalty rates and the given recovery
+    time / point objectives (hours; none when absent), {!search_space} at
+    [scale], and the baseline array and site failure scenarios. *)

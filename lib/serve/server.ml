@@ -1,4 +1,3 @@
-open Storage_units
 open Storage_model
 
 (* Audited SA007 suppression: the daemon's lock/unlock pairs follow the
@@ -121,42 +120,16 @@ let handle_optimize t (req : Http.request) =
   (* The grid is O(scale^3) designs; a service must bound what one
      request can make it chew. *)
   let* grid_scale = int_param ~max:4 "grid_scale" 1 in
-  let business =
-    Business.make
-      ~outage_penalty_rate:(Money_rate.usd_per_hour 50_000.)
-      ~loss_penalty_rate:(Money_rate.usd_per_hour 50_000.)
-      ?recovery_time_objective:(Option.map Duration.hours rto)
-      ?recovery_point_objective:(Option.map Duration.hours rpo)
-      ()
+  let kit, space, scenarios =
+    Storage_presets.Whatif.search_problem ?rto ?rpo ~scale:grid_scale ()
   in
-  let kit = Storage_presets.Whatif.search_kit ~business () in
-  let space = Storage_presets.Whatif.search_space ~scale:grid_scale () in
-  let candidates = Storage_optimize.Candidate.enumerate kit space in
-  let scenarios =
-    [
-      Storage_presets.Baseline.scenario_array;
-      Storage_presets.Baseline.scenario_site;
-    ]
-  in
+  let module Solver = Storage_optimize.Solver in
   let result =
-    Storage_optimize.Search.run ~engine:t.engine ?top_k candidates scenarios
+    Solver.run ~engine:t.engine ?top_k ~method_:Solver.Grid kit space
+      scenarios
   in
-  let body =
-    Fmt.str "%a@." Storage_optimize.Search.pp result
-    ^
-    match top_k with
-    | None -> ""
-    | Some k ->
-      Fmt.str "top %d feasible (of %d):@."
-        (min k result.Storage_optimize.Search.feasible_count)
-        result.Storage_optimize.Search.feasible_count
-      ^ String.concat ""
-          (List.mapi
-             (fun i s ->
-               Fmt.str "  %2d. %a@." (i + 1) Storage_optimize.Objective.pp s)
-             result.Storage_optimize.Search.feasible)
-  in
-  Http.ok_text body
+  (* Byte-identical to `ssdep optimize` with the same objectives. *)
+  Http.ok_text (Fmt.str "%a@." Solver.pp result)
 
 let handle_stats () = Http.ok_json (json_body (Storage_obs.snapshot ()))
 

@@ -215,4 +215,3 @@ let advance t dt =
   List.rev !completed
 
 let node_bytes _ n = n.transferred
-let active_flows = active

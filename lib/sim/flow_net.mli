@@ -52,9 +52,6 @@ val rate : t -> flow -> float
 
 val active_count : t -> int
 
-val active_flows : t -> flow list
-(** The currently active flows (diagnostics). *)
-
 val node_bytes : t -> node -> float
 (** Cumulative bytes pushed through the node by flows (each flow counted
     with its multiplicity), since creation. Reservations are not

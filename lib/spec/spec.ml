@@ -773,9 +773,6 @@ let load_design_file ?validate path =
   | Ok text ->
     Result.map_error (fun m -> Invalid m) (design_of_string ?validate text)
 
-let design_of_file ?validate path =
-  Result.map_error load_error_message (load_design_file ?validate path)
-
 let scenarios_of_string text =
   let* sections = Ini.parse text in
   traverse parse_scenario (Ini.find_all sections ~kind:"scenario")

@@ -74,8 +74,6 @@ val design_of_string : ?validate:bool -> string -> (Design.t, string) result
     {!Storage_hierarchy.Hierarchy.make} rejects cannot be represented as
     a [Design.t] at all. *)
 
-val design_of_file : ?validate:bool -> string -> (Design.t, string) result
-
 type load_error =
   | Unreadable of string
       (** The file could not be read at all (missing, permission denied);
@@ -90,9 +88,9 @@ val load_error_message : load_error -> string
 
 val load_design_file :
   ?validate:bool -> string -> (Design.t, load_error) result
-(** {!design_of_file} with the error split into {!load_error} cases, for
-    callers that map unreadable paths and invalid contents to different
-    exit codes. *)
+(** Reads and parses a design file ({!design_of_string}), keeping
+    unreadable paths and invalid contents apart so a front end can map
+    them to different exit codes. *)
 
 val load_scenarios_file :
   string -> ((string * Scenario.t) list, load_error) result

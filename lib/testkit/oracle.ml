@@ -542,8 +542,8 @@ let fleet_jobs_invariance =
 let solver_exhaustive_equivalence =
   (* A grid small enough to exhaust on every case (11 points: both PiT
      kinds x 2 accumulations x 2 backup windows, plus 3 mirror bundles)
-     yet spanning both families, so family-boundary moves and both prune
-     types are exercised. The annealing budget of 4x the grid makes the
+     yet spanning both families, so family-boundary moves are
+     exercised. The annealing budget of 4x the grid makes the
      sweep chain provably exhaustive — equality with grid search is an
      exact judgment, not a heuristic one. *)
   let space =
@@ -562,9 +562,9 @@ let solver_exhaustive_equivalence =
     name = "solver-exhaustive-equivalence";
     doc =
       "on a small grid under the case's workload and business \
-       requirements, annealing at exhaustive budget and branch-and-bound \
-       both reach the exhaustive grid optimum exactly — or all three \
-       methods agree the grid holds no feasible design";
+       requirements, annealing at exhaustive budget reaches the \
+       exhaustive grid optimum exactly — or both methods agree the grid \
+       holds no feasible design";
     check =
       (fun ctx d scenarios ->
         let kit =
@@ -582,31 +582,25 @@ let solver_exhaustive_equivalence =
         in
         let grid = run Solver.Grid in
         let anneal = run Solver.Anneal in
-        let bnb = run Solver.Bnb in
         let cost (r : Solver.result) =
           Option.map
             (fun (s : Objective.summary) -> s.Objective.worst_total_cost)
             r.Solver.best
         in
-        let agree name r =
-          match (cost grid, cost r) with
-          | None, None -> Pass
-          | Some g, Some s when Money.compare g s = 0 -> Pass
-          | Some g, Some s ->
-            failf "%s best %s differs from exhaustive optimum %s" name
-              (Money.to_string s) (Money.to_string g)
-          | Some g, None ->
-            failf "%s found nothing feasible; exhaustive optimum is %s" name
-              (Money.to_string g)
-          | None, Some s ->
-            failf
-              "%s claims a feasible design at %s on a grid exhaustive \
-               search proves infeasible"
-              name (Money.to_string s)
-        in
-        match agree "anneal" anneal with
-        | Pass -> agree "bnb" bnb
-        | v -> v);
+        match (cost grid, cost anneal) with
+        | None, None -> Pass
+        | Some g, Some s when Money.compare g s = 0 -> Pass
+        | Some g, Some s ->
+          failf "anneal best %s differs from exhaustive optimum %s"
+            (Money.to_string s) (Money.to_string g)
+        | Some g, None ->
+          failf "anneal found nothing feasible; exhaustive optimum is %s"
+            (Money.to_string g)
+        | None, Some s ->
+          failf
+            "anneal claims a feasible design at %s on a grid exhaustive \
+             search proves infeasible"
+            (Money.to_string s));
   }
 
 (* --- harness self-test --- *)

@@ -35,7 +35,7 @@ val lint_pool : unit -> Design.t list
 val draw : seed:int array -> n:int -> Design.t list -> Design.t list
 (** [draw ~seed ~n pool] samples [n] designs with repetition (duplicates
     deliberately exercise evaluation-cache dedup) using
-    [Random.State.make seed], byte-compatible with the legacy test-suite
+    [Random.State.make seed], byte-compatible with the original test-suite
     loops. Raises [Invalid_argument] on an empty pool. *)
 
 val scaled : factor:float -> Design.t -> Design.t

@@ -20,8 +20,6 @@ val gib : float -> t
 val tib : float -> t
 
 val to_bytes : t -> float
-val to_kib : t -> float
-val to_mib : t -> float
 val to_gib : t -> float
 val to_tib : t -> float
 

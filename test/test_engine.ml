@@ -1,6 +1,6 @@
 (* The Engine execution context: lifecycle, typed slots, the streaming
    map, and the property suite proving the streaming search pipeline is
-   byte-identical to the materialized legacy loop. *)
+   byte-identical to the materialized reference loop. *)
 
 open Storage_model
 open Storage_optimize
@@ -177,7 +177,7 @@ let test_map_seq_exception_propagates () =
         Alcotest.(check string) "failing element's exception" "thirty-seven" msg)
 
 (* ------------------------------------------------------------------ *)
-(* Streaming search == materialized legacy search *)
+(* Streaming search == materialized reference search *)
 
 (* ~200 seeded random designs drawn with repetition (duplicates exercise
    the cache dedup) from an enumerated pool; same draws as ever — the
@@ -186,7 +186,7 @@ let seeded_candidates =
   Storage_testkit.Seeded.draw ~seed:[| 0x57E4; 2004 |] ~n:200
     Test_random_designs.pool
 
-let legacy_oracle () = Search.run_materialized seeded_candidates scenarios
+let reference_oracle () = Search.run_materialized seeded_candidates scenarios
 
 let check_result_identical msg (a : Search.result) (b : Search.result) =
   check_same_bytes (msg ^ ": evaluated") a.Search.evaluated b.Search.evaluated;
@@ -202,7 +202,7 @@ let test_streaming_equals_materialized () =
   (* The full matrix the refactor must not disturb: serial and 4-domain
      streaming runs, each with a fresh and with a shared session cache,
      all byte-identical to the materialized pre-engine loop. *)
-  let oracle = legacy_oracle () in
+  let oracle = reference_oracle () in
   List.iter
     (fun jobs ->
       let fresh =
@@ -227,7 +227,7 @@ let test_streaming_equals_materialized () =
 let test_streaming_bounded_cache_identical () =
   (* Even a pathologically small cache bound (constant eviction) cannot
      change a single byte — only the hit rate. *)
-  let oracle = legacy_oracle () in
+  let oracle = reference_oracle () in
   let e = Engine.create ~jobs:2 ~cache_bound:3 () in
   Fun.protect
     ~finally:(fun () -> Engine.shutdown e)
@@ -256,7 +256,7 @@ let test_streaming_never_materializes () =
   Alcotest.(check int) "evaluated dropped" 0 (List.length r.Search.evaluated);
   Alcotest.(check bool) "top-k respected" true
     (List.length r.Search.feasible <= 5);
-  let oracle = legacy_oracle () in
+  let oracle = reference_oracle () in
   check_same_bytes "frontier unaffected by truncation" oracle.Search.frontier
     r.Search.frontier;
   check_same_bytes "best unaffected by truncation" oracle.Search.best

@@ -217,6 +217,31 @@ let test_fleet_report_deterministic_and_sane () =
     && a.Fleet.failed_trials <= a.Fleet.trials
     && a.Fleet.multi_event_trials <= a.Fleet.failed_trials)
 
+(* [multi_event_trials] counts trials that sampled two or more failures.
+   Replay every trial of a seeded run by hand — per-trial seeds come off
+   the config's master stream in trial order — and count them. *)
+let test_multi_event_trials_hand_count () =
+  let config =
+    Fleet.config ~trials:30 ~horizon_years:2. ~seed:0x3E17L
+      ~rates:(Fleet.rates ~default_afr:0.4 ())
+      ()
+  in
+  let design = Baseline.design in
+  let report = Fleet.run ~config design in
+  let master = Storage_workload.Prng.create ~seed:config.Fleet.seed in
+  let hand =
+    List.init config.Fleet.trials (fun index ->
+        let seed = Storage_workload.Prng.next_int64 master in
+        Fleet.run_trial ~rates:config.Fleet.rates ~horizon:config.Fleet.horizon
+          ~seed ~index design)
+    |> List.filter (fun (t : Fleet.trial) -> t.Fleet.failures >= 2)
+    |> List.length
+  in
+  Alcotest.(check bool) "the seeded config has multi-failure trials" true
+    (hand > 0);
+  Alcotest.(check int) "trials with >= 2 failures" hand
+    report.Fleet.multi_event_trials
+
 let suite =
   [
     ( "scenario.algebra",
@@ -247,5 +272,7 @@ let suite =
           test_zero_failure_trial_is_fully_available;
         Alcotest.test_case "report deterministic and internally consistent"
           `Quick test_fleet_report_deterministic_and_sane;
+        Alcotest.test_case "multi_event_trials = hand count of replays"
+          `Quick test_multi_event_trials_hand_count;
       ] );
   ]

@@ -199,6 +199,41 @@ let test_concurrent_clients_identical () =
         (String.equal expected body))
     responses
 
+(* /optimize answers with the text `ssdep optimize` prints for the same
+   objectives: the CLI's renderer over the CLI's problem. The default
+   query must also print what a full, non-streaming search over the grid
+   prints — the daemon streams with a top-1 bound, and that bound may not
+   show. *)
+let test_optimize_matches_cli_renderer () =
+  with_server @@ fun port ->
+  let module Solver = Storage_optimize.Solver in
+  let cli ?rto ?rpo ?top_k () =
+    let kit, space, scenarios = Whatif.search_problem ?rto ?rpo () in
+    Fmt.str "%a@." Solver.pp
+      (Solver.run ?top_k ~method_:Solver.Grid kit space scenarios)
+  in
+  let get path =
+    let status, body = request ~port ~meth:"GET" ~path "" in
+    Alcotest.(check (option int)) (path ^ " status") (Some 200) status;
+    body
+  in
+  let default = get "/optimize" in
+  Alcotest.(check string) "default query = CLI renderer" (cli ()) default;
+  let full =
+    let kit, space, scenarios = Whatif.search_problem () in
+    Fmt.str "%a@." Storage_optimize.Search.pp
+      (Storage_optimize.Search.run
+         (Storage_optimize.Candidate.enumerate kit space)
+         scenarios)
+  in
+  Alcotest.(check string) "default query = full search listing" full default;
+  let ranked = get "/optimize?top_k=3&rto=24&rpo=24" in
+  Alcotest.(check string) "top_k=3, rto/rpo 24 h = CLI renderer"
+    (cli ~rto:24. ~rpo:24. ~top_k:3 ())
+    ranked;
+  Alcotest.(check bool) "the top-k block is listed" true
+    (Helpers.contains ranked "top 3 feasible (of 4):")
+
 (* --- protocol robustness --- *)
 
 (* Every payload here is wrong in a different way; each must come back
@@ -230,6 +265,9 @@ let malformed_cases =
     ( "bad optimize parameter",
       "GET /optimize?grid_scale=banana HTTP/1.1\r\n\r\n",
       400 );
+    ("optimize grid_scale too large", "GET /optimize?grid_scale=5 HTTP/1.1\r\n\r\n", 400);
+    ("optimize top_k zero", "GET /optimize?top_k=0 HTTP/1.1\r\n\r\n", 400);
+    ("optimize top_k garbage", "GET /optimize?top_k=x HTTP/1.1\r\n\r\n", 400);
   ]
 
 (* The worker-loop exception barrier: handler exceptions become a 500,
@@ -443,6 +481,8 @@ let suite =
         t "/lint and /stats answer" test_lint_and_stats;
         t "4 concurrent clients, identical cache-warm responses"
           test_concurrent_clients_identical;
+        t "/optimize byte-identical to the CLI renderer"
+          test_optimize_matches_cli_renderer;
       ] );
     ( "serve.robustness",
       [
