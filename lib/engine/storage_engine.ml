@@ -31,7 +31,6 @@ let new_key (type a) () : a key =
 
 type t = {
   jobs : int;
-  lint : bool;
   seed : int64;
   stats : bool;
   cache : bool;
@@ -46,7 +45,7 @@ type t = {
    engine-less call and a default engine agree bit for bit. *)
 let default_seed = 0xCA5CADEL
 
-let create ?(jobs = 1) ?(lint = true) ?(seed = default_seed) ?(stats = false)
+let create ?(jobs = 1) ?(seed = default_seed) ?(stats = false)
     ?(cache = true) ?cache_bound ?chunk () =
   if jobs < 1 then invalid_arg "Engine.create: jobs must be >= 1";
   (match cache_bound with
@@ -58,7 +57,6 @@ let create ?(jobs = 1) ?(lint = true) ?(seed = default_seed) ?(stats = false)
   if stats then Storage_obs.enable ();
   {
     jobs;
-    lint;
     seed;
     stats;
     cache;
@@ -105,7 +103,6 @@ let of_cli ?chunk ?(env = Sys.getenv_opt) ~jobs ~stats () =
     resolved
 
 let jobs t = t.jobs
-let lint t = t.lint
 let seed t = t.seed
 let stats t = t.stats
 let cache t = t.cache
@@ -134,8 +131,8 @@ let shutdown t =
   in
   Option.iter Storage_parallel.Pool.shutdown p
 
-let with_engine ?jobs ?lint ?seed ?stats f =
-  let t = create ?jobs ?lint ?seed ?stats () in
+let with_engine ?jobs ?seed ?stats f =
+  let t = create ?jobs ?seed ?stats () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 let map t f xs =

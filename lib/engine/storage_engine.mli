@@ -3,12 +3,12 @@
     The framework's outer loops — design-space search, sensitivity sweeps,
     portfolio evaluation, Monte-Carlo risk, failure-phase sweeps — share
     the same execution machinery: a {!Storage_parallel.Pool} of domains,
-    a memoized evaluation cache, the static lint pre-filter policy, the
-    {!Storage_obs} stats switch and a PRNG seed for stochastic stages.
-    Threading those as per-call [?jobs]/[?cache]/[?lint] optional
-    arguments does not scale past a handful of entry points (every new
-    loop re-grows the triple); an [Engine.t] owns them once and is passed
-    whole.
+    a memoized evaluation cache, the {!Storage_obs} stats switch and a
+    PRNG seed for stochastic stages. Threading those as per-call
+    [?jobs]/[?cache] optional arguments does not scale past a handful of
+    entry points (every new loop re-grows the list); an [Engine.t] owns
+    them once and is passed whole. The static lint pre-filter is not
+    engine policy: search and portfolio loops always apply it.
 
     Ownership and lifecycle:
     - The engine owns its domain pool. The pool is created lazily on the
@@ -20,7 +20,7 @@
       [Eval_cache.of_engine] — without this module depending on them.
       Slots are created on first use under the engine's mutex and live
       until the engine is garbage collected.
-    - Lint policy, stats flag and seed are immutable configuration.
+    - Stats flag, seed and cache policy are immutable configuration.
 
     Engines are cheap to create; [create ()] is the serial default used
     by every entry point when no engine is passed. All operations are
@@ -30,7 +30,6 @@ type t
 
 val create :
   ?jobs:int ->
-  ?lint:bool ->
   ?seed:int64 ->
   ?stats:bool ->
   ?cache:bool ->
@@ -38,8 +37,8 @@ val create :
   ?chunk:int ->
   unit ->
   t
-(** [create ()] is a serial engine: [jobs = 1], lint pre-filtering on,
-    the framework's fixed default seed, stats off, caching on with an
+(** [create ()] is a serial engine: [jobs = 1], the framework's fixed
+    default seed, stats off, caching on with an
     unbounded cache policy, auto-sized parallel chunks. Raises
     [Invalid_argument] when [jobs < 1], [cache_bound < 1] or
     [chunk < 1]. [~stats:true] additionally turns the global
@@ -76,14 +75,11 @@ val of_cli :
     wins over the environment. *)
 
 val with_engine :
-  ?jobs:int -> ?lint:bool -> ?seed:int64 -> ?stats:bool -> (t -> 'a) -> 'a
-(** [with_engine f] runs [f] with a fresh engine and shuts it down on the
-    way out (including on exceptions). *)
+  ?jobs:int -> ?seed:int64 -> ?stats:bool -> (t -> 'a) -> 'a
+(** [with_engine f] runs [f] with a fresh engine built by {!create} and
+    shuts it down on the way out (including on exceptions). *)
 
 val jobs : t -> int
-val lint : t -> bool
-(** Whether search/portfolio loops should statically pre-filter
-    candidates with the design linter before evaluating them. *)
 
 val seed : t -> int64
 (** Seed for stochastic stages (Monte-Carlo risk). Fixed default, so

@@ -374,7 +374,13 @@ let run_trial ?(rates = default_rates) ~horizon ~seed ~index design =
          to the end of the horizon. *)
       finish (horizon_s -. Duration.to_seconds e.Scenario.at) 1 bytes []
     | Some _, None | Some 0, Some _ -> finish 0. 0 bytes []
-    | Some _, Some rt -> finish (Duration.to_seconds rt) 0 bytes [ rt ])
+    | Some _, Some rt ->
+      (* A recovery still running at the horizon is cut there and is not
+         a completed rebuild, as on the cluster path. *)
+      let at_s = Duration.to_seconds e.Scenario.at in
+      if at_s +. Duration.to_seconds rt > horizon_s then
+        finish (horizon_s -. at_s) 0 bytes []
+      else finish (Duration.to_seconds rt) 0 bytes [ rt ])
   | events -> (
     Storage_obs.Counter.incr obs_multi;
     let clustered () =

@@ -15,74 +15,84 @@ let schedule_exn l =
   | Some s -> s
   | None -> invalid_arg "Hierarchy: level without schedule"
 
-let validate levels =
+type violation =
+  | No_levels
+  | Not_primary
+  | Extra_primary of int
+  | Missing_schedule of int
+  | Not_colocated of int
+  | Retention_decreases of int
+  | Accumulation_short of int
+
+let is_primary l =
+  match l.technique with Technique.Primary_copy _ -> true | _ -> false
+
+(* Every convention (§3.2.1) the level list breaks, in level order. The
+   pair conventions compare level [j] with level [j-1] and are skipped
+   where either schedule is missing (already a [Missing_schedule]). *)
+let violations levels =
   match levels with
-  | [] -> Error "hierarchy must have at least a primary level"
+  | [] -> [ No_levels ]
   | primary :: rest ->
-    let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-    (match primary.technique with
-    | Technique.Primary_copy _ -> (
-      let non_primary =
-        List.exists
-          (fun l ->
-            match l.technique with
-            | Technique.Primary_copy _ -> true
-            | _ -> false)
-          rest
-      in
-      if non_primary then err "only level 0 may be a primary copy"
-      else begin
-        let missing_schedule =
-          List.exists (fun l -> Technique.schedule l.technique = None) rest
-        in
-        if missing_schedule then
-          err "every level above 0 must have a schedule"
-        else begin
-          (* Conventions on consecutive secondary levels (§3.2.1). *)
-          let rec check_pairs = function
-            | a :: (b :: _ as tl) ->
-              let sa = schedule_exn a and sb = schedule_exn b in
-              if
-                sb.Schedule.retention_count < sa.Schedule.retention_count
-              then
-                err "retention count must not decrease with level (%s -> %s)"
-                  (Technique.name a.technique)
-                  (Technique.name b.technique)
-              else if
-                Duration.compare
-                  sb.Schedule.full.Schedule.accumulation
-                  (Schedule.cycle_period sa)
-                < 0
-              then
-                err
-                  "accumulation window of %s is shorter than the cycle \
-                   period of %s"
-                  (Technique.name b.technique)
-                  (Technique.name a.technique)
-              else check_pairs tl
-            | [] | [ _ ] -> Ok ()
-          in
-          let colocation_ok =
-            List.for_all
-              (fun l ->
-                (not (Technique.colocated_with_primary l.technique))
-                || String.equal l.device.Device.name
-                     primary.device.Device.name)
-              rest
-          in
-          if not colocation_ok then
-            err
-              "split mirrors and virtual snapshots must be hosted on the \
-               primary device"
-          else check_pairs rest
-        end
-      end)
-    | _ -> err "level 0 must be a primary copy")
+    let out = ref (if is_primary primary then [] else [ Not_primary ]) in
+    let add v = out := v :: !out in
+    let rec walk j prev = function
+      | [] -> List.rev !out
+      | l :: tl ->
+        if is_primary l then add (Extra_primary j);
+        let sched = Technique.schedule l.technique in
+        if sched = None then add (Missing_schedule j);
+        if
+          Technique.colocated_with_primary l.technique
+          && not (String.equal l.device.Device.name primary.device.Device.name)
+        then add (Not_colocated j);
+        (match (prev, sched) with
+        | Some sa, Some sb ->
+          if sb.Schedule.retention_count < sa.Schedule.retention_count then
+            add (Retention_decreases j);
+          if
+            Duration.compare sb.Schedule.full.Schedule.accumulation
+              (Schedule.cycle_period sa)
+            < 0
+          then add (Accumulation_short j)
+        | _ -> ());
+        walk (j + 1) sched tl
+    in
+    walk 1 None rest
+
+(* [make] reports one violation, by convention rather than by level:
+   primary placement, then schedules, then colocation, then the pair
+   conventions. *)
+let priority = function
+  | No_levels | Not_primary -> 0
+  | Extra_primary _ -> 1
+  | Missing_schedule _ -> 2
+  | Not_colocated _ -> 3
+  | Retention_decreases _ | Accumulation_short _ -> 4
+
+let message levels v =
+  let name j = Technique.name (List.nth levels j).technique in
+  match v with
+  | No_levels -> "hierarchy must have at least a primary level"
+  | Not_primary -> "level 0 must be a primary copy"
+  | Extra_primary _ -> "only level 0 may be a primary copy"
+  | Missing_schedule _ -> "every level above 0 must have a schedule"
+  | Not_colocated _ ->
+    "split mirrors and virtual snapshots must be hosted on the primary device"
+  | Retention_decreases j ->
+    Printf.sprintf "retention count must not decrease with level (%s -> %s)"
+      (name (j - 1)) (name j)
+  | Accumulation_short j ->
+    Printf.sprintf
+      "accumulation window of %s is shorter than the cycle period of %s"
+      (name j) (name (j - 1))
 
 let make levels =
-  match validate levels with
-  | Ok () -> Ok { levels = Array.of_list levels }
-  | Error _ as e -> e
+  match violations levels with
+  | [] -> Ok { levels = Array.of_list levels }
+  | vs ->
+    let by_priority a b = Int.compare (priority a) (priority b) in
+    Error (message levels (List.hd (List.stable_sort by_priority vs)))
 
 let make_exn levels =
   match make levels with Ok t -> t | Error m -> invalid_arg ("Hierarchy: " ^ m)

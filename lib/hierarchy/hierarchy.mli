@@ -21,16 +21,30 @@ type level = {
 
 type t
 
+type violation =
+  | No_levels  (** the list is empty *)
+  | Not_primary  (** level 0 is not a [Primary_copy] *)
+  | Extra_primary of int  (** a level above 0 is a [Primary_copy] *)
+  | Missing_schedule of int  (** a level above 0 has no schedule *)
+  | Not_colocated of int
+      (** a colocated technique (split mirror, virtual snapshot) is not
+          hosted on the primary device *)
+  | Retention_decreases of int
+      (** [retCnt_j < retCnt_{j-1}] (§3.2.1 convention 2) *)
+  | Accumulation_short of int
+      (** [accW_j < cyclePer_{j-1}] (§3.2.1 convention 1) *)
+(** A broken structural convention at the given level. The pair
+    conventions name the upper level of the pair and are only checked
+    where both levels have a schedule. *)
+
+val violations : level list -> violation list
+(** Every structural violation of a raw level list, in level order. The
+    one decision behind both {!make} and [Storage_lint.check_levels]. *)
+
 val make : level list -> (t, string) result
-(** Validates the structural conventions:
-    - level 0 is a [Primary_copy], and no other level is;
-    - every level above 0 has a schedule;
-    - retention counts do not decrease with level
-      ([retCnt_{i+1} >= retCnt_i], §3.2.1 convention 2);
-    - accumulation windows do not shrink below the previous cycle period
-      ([accW_{i+1} >= cyclePer_i]);
-    - colocated techniques (split mirror, virtual snapshot) are hosted on
-      the primary device. *)
+(** Builds the hierarchy when {!violations} is empty. Otherwise the error
+    describes one violation, chosen by convention: primary placement
+    first, then schedules, colocation and the pair conventions. *)
 
 val make_exn : level list -> t
 (** Raises [Invalid_argument] with the validation message. *)

@@ -58,115 +58,142 @@ let rules : (string * Diagnostic.severity * string) list =
     ("SSDEP-I002", Info, "retention too shallow to guarantee any RP range");
   ]
 
-(* --- structural conventions over a raw level list (§3.2.1) ---
-
-   These mirror [Hierarchy.validate] (which guards the constructor and
-   therefore cannot be expressed on an already-built [Hierarchy.t]), but
-   report every violation instead of the first, with structured
-   locations. *)
+(* --- structural conventions over a raw level list (§3.2.1) --- *)
 
 let level_loc j (l : Hierarchy.level) =
   Diagnostic.Level { index = j; technique = Technique.name l.technique }
 
 let check_levels (levels : Hierarchy.level list) =
-  match levels with
-  | [] ->
-    [
-      err ~code:"SSDEP-E001" Error Design_wide
-        "hierarchy must have at least a primary level";
-    ]
-  | primary :: rest ->
-    let ds = ref [] in
-    let add d = ds := d :: !ds in
-    (match primary.technique with
-    | Technique.Primary_copy _ -> ()
-    | _ ->
-      add
-        (err ~code:"SSDEP-E001" Error (level_loc 0 primary)
-           "level 0 must be a primary copy"));
-    List.iteri
-      (fun i (l : Hierarchy.level) ->
-        let j = i + 1 in
-        (match l.technique with
-        | Technique.Primary_copy _ ->
-          add
-            (err ~code:"SSDEP-E001" Error (level_loc j l)
-               "only level 0 may be a primary copy")
-        | _ -> ());
-        if Technique.schedule l.technique = None then
-          add
-            (err ~code:"SSDEP-E002" Error (level_loc j l)
-               "every level above 0 must have a schedule");
-        if
-          Technique.colocated_with_primary l.technique
-          && not
-               (String.equal l.device.Device.name
-                  primary.device.Device.name)
-        then
-          add
-            (err ~code:"SSDEP-E005" Error (level_loc j l)
-               "%s must be hosted on the primary device %s, not %s"
-               (Technique.name l.technique) primary.device.Device.name
-               l.device.Device.name))
-      rest;
-    (* Conventions on consecutive secondary levels; skipped where a
-       schedule is missing (already an E002). *)
-    let rec pairs j = function
-      | (a : Hierarchy.level) :: (b :: _ as tl) ->
-        (match (Technique.schedule a.technique, Technique.schedule b.technique)
-        with
-        | Some sa, Some sb ->
-          if sb.Schedule.retention_count < sa.Schedule.retention_count then
-            add
-              (err ~code:"SSDEP-E003" Error (level_loc (j + 1) b)
-                 "retention count %d is below level %d's %d (§3.2.1 \
-                  convention 2)"
-                 sb.Schedule.retention_count j sa.Schedule.retention_count);
-          if
-            Duration.compare sb.Schedule.full.Schedule.accumulation
-              (Schedule.cycle_period sa)
-            < 0
-          then
-            add
-              (err ~code:"SSDEP-E004" Error (level_loc (j + 1) b)
-                 "accumulation window %s is shorter than level %d's cycle \
-                  period %s"
-                 (Duration.to_string sb.Schedule.full.Schedule.accumulation)
-                 j
-                 (Duration.to_string (Schedule.cycle_period sa)))
-        | _ -> ());
-        pairs (j + 1) tl
-      | [] | [ _ ] -> ()
-    in
-    pairs 1 rest;
-    List.rev !ds
+  let level = Array.of_list levels in
+  let loc j = level_loc j level.(j) in
+  let schedule j = Option.get (Technique.schedule level.(j).technique) in
+  List.map
+    (function
+      | Hierarchy.No_levels ->
+        err ~code:"SSDEP-E001" Error Design_wide
+          "hierarchy must have at least a primary level"
+      | Not_primary ->
+        err ~code:"SSDEP-E001" Error (loc 0) "level 0 must be a primary copy"
+      | Extra_primary j ->
+        err ~code:"SSDEP-E001" Error (loc j)
+          "only level 0 may be a primary copy"
+      | Missing_schedule j ->
+        err ~code:"SSDEP-E002" Error (loc j)
+          "every level above 0 must have a schedule"
+      | Not_colocated j ->
+        err ~code:"SSDEP-E005" Error (loc j)
+          "%s must be hosted on the primary device %s, not %s"
+          (Technique.name level.(j).technique)
+          level.(0).device.Device.name level.(j).device.Device.name
+      | Retention_decreases j ->
+        err ~code:"SSDEP-E003" Error (loc j)
+          "retention count %d is below level %d's %d (§3.2.1 convention 2)"
+          (schedule j).Schedule.retention_count (j - 1)
+          (schedule (j - 1)).Schedule.retention_count
+      | Accumulation_short j ->
+        err ~code:"SSDEP-E004" Error (loc j)
+          "accumulation window %s is shorter than level %d's cycle period %s"
+          (Duration.to_string (schedule j).Schedule.full.Schedule.accumulation)
+          (j - 1)
+          (Duration.to_string (Schedule.cycle_period (schedule (j - 1)))))
+    (Hierarchy.violations levels)
 
 (* --- design-wide static rules --- *)
 
-let finite f = Float.is_finite f
-let nonneg_finite f = Float.is_finite f && f >= 0.
+(* The error-severity rules are renderings of [Design.violations]: the
+   decision is made once, in the model, and lint only names it. *)
+let violation_diagnostic (d : Design.t) = function
+  | Design.Capacity_overcommitted (dev, u) ->
+    err ~code:"SSDEP-E010" Error (Device dev.Device.name)
+      "capacity overcommitted: %.1f%% of %s (%d slots needed, %d available)"
+      (100. *. u.Device.capacity_fraction)
+      (Size.to_string (Device.max_capacity dev))
+      u.Device.capacity_slots_needed dev.Device.max_capacity_slots
+  | Bandwidth_overcommitted (dev, u) ->
+    err ~code:"SSDEP-E011" Error (Device dev.Device.name)
+      "bandwidth overcommitted: %.1f%% of %s"
+      (100. *. u.Device.bandwidth_fraction)
+      (Rate.to_string (Device.max_bandwidth dev))
+  | Missing_link j ->
+    let l = Hierarchy.level d.Design.hierarchy j in
+    err ~code:"SSDEP-E012" Error (level_loc j l)
+      "%s requires an interconnect and none is configured"
+      (Technique.name l.technique)
+  | Slow_link { level; link; bandwidth; required } ->
+    err ~code:"SSDEP-E013" Error (Link link.Interconnect.name)
+      "bandwidth %s cannot sustain %s traffic (%s required)"
+      (Rate.to_string bandwidth)
+      (Technique.name (Hierarchy.level d.Design.hierarchy level).technique)
+      (Rate.to_string required)
+  | Oversubscribed_link { link; demand; bandwidth } ->
+    err ~code:"SSDEP-E018" Error (Link link.Interconnect.name)
+      "aggregate propagation demand %s exceeds link bandwidth %s"
+      (Rate.to_string demand) (Rate.to_string bandwidth)
+  | Bad_term { owner; what; value } -> (
+    let e015 loc owner =
+      err ~code:"SSDEP-E015" Error loc "%s %s is negative or non-finite (%g)"
+        owner what value
+    in
+    match owner with
+    | Workload_term ->
+      err ~code:"SSDEP-E014" Error Workload
+        "%s is negative or non-finite (%g)" what value
+    | Device_term name -> e015 (Device name) "device"
+    | Link_term name -> e015 (Link name) "link"
+    | Business_term -> e015 Business "business")
 
-let check_workload (w : Workload.t) =
-  let ds = ref [] in
-  let add d = ds := d :: !ds in
-  let bad ~what v =
-    add
-      (err ~code:"SSDEP-E014" Error Workload
-         "%s is negative or non-finite (%g)" what v)
-  in
-  let cap = Size.to_bytes w.Workload.data_capacity in
-  if not (finite cap && cap > 0.) then bad ~what:"data capacity" cap;
-  let acc = Rate.to_bytes_per_sec w.Workload.avg_access_rate in
-  if not (nonneg_finite acc) then bad ~what:"average access rate" acc;
-  let upd = Rate.to_bytes_per_sec w.Workload.avg_update_rate in
-  if not (nonneg_finite upd) then bad ~what:"average update rate" upd;
-  if not (finite w.Workload.burst_multiplier && w.Workload.burst_multiplier >= 1.)
-  then bad ~what:"burst multiplier" w.Workload.burst_multiplier;
+let check_design (d : Design.t) =
+  let ds = ref (List.rev_map (violation_diagnostic d) (Design.violations d)) in
+  let add x = ds := x :: !ds in
+  let h = d.Design.hierarchy in
+  let w = d.Design.workload in
+  (* Devices: an advisory band below §3.3.1's overcommitment check. *)
   List.iter
-    (fun (_, r) ->
-      let r = Rate.to_bytes_per_sec r in
-      if not (nonneg_finite r) then bad ~what:"batch update rate" r)
-    (Batch_curve.samples w.Workload.batch_curve);
+    (fun (dev : Device.t) ->
+      let u = Design.device_utilization d dev in
+      let loc = Diagnostic.Device dev.Device.name in
+      let near f = f > near_full_threshold && f <= 1. in
+      if near u.Device.capacity_fraction then
+        add
+          (err ~code:"SSDEP-W001" Warning loc
+             "capacity %.1f%% full: little headroom for growth or extra \
+              retention"
+             (100. *. u.Device.capacity_fraction));
+      if near u.Device.bandwidth_fraction then
+        add
+          (err ~code:"SSDEP-W002" Warning loc
+             "bandwidth %.1f%% saturated: recovery transfers will crawl"
+             (100. *. u.Device.bandwidth_fraction)))
+    (Design.devices d);
+  (* An asynchronous mirror link that keeps up on average (no E013) but
+     not with the workload's [burstM * avgUpdateR] spikes will queue
+     behind them. *)
+  let slow j =
+    List.exists
+      (function Design.Slow_link { level; _ } -> level = j | _ -> false)
+      (Design.violations d)
+  in
+  List.iteri
+    (fun j (l : Hierarchy.level) ->
+      match (l.technique, l.link) with
+      | ( Technique.Remote_mirror
+            { mode = Technique.Asynchronous | Technique.Asynchronous_batch; _ },
+          Some link )
+        when (not
+                (Rate.is_zero
+                   (Demands.required_link_bandwidth ~workload:w l.technique)))
+             && not (slow j) -> (
+        let peak = Workload.peak_update_rate w in
+        match Interconnect.bandwidth link with
+        | Some bw when Rate.compare bw peak < 0 ->
+          add
+            (err ~code:"SSDEP-W003" Warning (Link link.Interconnect.name)
+               "bandwidth %s is below the peak (burst) update rate %s: \
+                asynchronous propagation will lag during bursts"
+               (Rate.to_string bw) (Rate.to_string peak))
+        | Some _ | None -> ())
+      | _ -> ())
+    (Hierarchy.levels h);
   (* Trace/batch-curve consistency: the unique update rate can never
      exceed the raw update rate the trace generator was parameterized
      with — overwrites only coalesce writes, they cannot invent them. *)
@@ -183,174 +210,12 @@ let check_workload (w : Workload.t) =
          (Rate.to_string r) (Duration.to_string win)
          (Rate.to_string w.Workload.avg_update_rate))
   | None -> ());
-  List.rev !ds
-
-let check_cost_model loc ~owner (c : Cost_model.t) =
-  let ds = ref [] in
-  let bad ~what v =
-    ds :=
-      err ~code:"SSDEP-E015" Error loc "%s %s is negative or non-finite (%g)"
-        owner what v
-      :: !ds
-  in
-  let fixed = Money.to_usd c.Cost_model.fixed in
-  if not (nonneg_finite fixed) then bad ~what:"fixed cost" fixed;
-  if not (nonneg_finite c.Cost_model.per_gib) then
-    bad ~what:"per-GiB cost" c.Cost_model.per_gib;
-  if not (nonneg_finite c.Cost_model.per_mib_per_sec) then
-    bad ~what:"per-MiB/s cost" c.Cost_model.per_mib_per_sec;
-  if not (nonneg_finite c.Cost_model.per_shipment) then
-    bad ~what:"per-shipment cost" c.Cost_model.per_shipment;
-  List.rev !ds
-
-let design_links (d : Design.t) =
-  List.fold_left
-    (fun acc (l : Hierarchy.level) ->
-      match l.link with
-      | Some link
-        when not
-               (List.exists
-                  (fun (k : Interconnect.t) ->
-                    String.equal k.Interconnect.name link.Interconnect.name)
-                  acc) ->
-        link :: acc
-      | Some _ | None -> acc)
-    []
-    (Hierarchy.levels d.Design.hierarchy)
-  |> List.rev
-
-let check_design (d : Design.t) =
-  let ds = ref [] in
-  let add x = ds := x :: !ds in
-  let h = d.Design.hierarchy in
-  (* Devices: §3.3.1's global overcommitment check, plus a near-full
-     advisory band below it. *)
-  List.iter
-    (fun (dev : Device.t) ->
-      let u = Design.device_utilization d dev in
-      let loc = Diagnostic.Device dev.Device.name in
-      if u.Device.capacity_fraction > 1. then
-        add
-          (err ~code:"SSDEP-E010" Error loc
-             "capacity overcommitted: %.1f%% of %s (%d slots needed, %d \
-              available)"
-             (100. *. u.Device.capacity_fraction)
-             (Size.to_string (Device.max_capacity dev))
-             u.Device.capacity_slots_needed dev.Device.max_capacity_slots)
-      else if u.Device.capacity_fraction > near_full_threshold then
-        add
-          (err ~code:"SSDEP-W001" Warning loc
-             "capacity %.1f%% full: little headroom for growth or extra \
-              retention"
-             (100. *. u.Device.capacity_fraction));
-      if u.Device.bandwidth_fraction > 1. then
-        add
-          (err ~code:"SSDEP-E011" Error loc
-             "bandwidth overcommitted: %.1f%% of %s"
-             (100. *. u.Device.bandwidth_fraction)
-             (Rate.to_string (Device.max_bandwidth dev)))
-      else if u.Device.bandwidth_fraction > near_full_threshold then
-        add
-          (err ~code:"SSDEP-W002" Warning loc
-             "bandwidth %.1f%% saturated: recovery transfers will crawl"
-             (100. *. u.Device.bandwidth_fraction)))
-    (Design.devices d);
-  (* Per-level interconnect requirements (§3.3.1: a synchronous mirror
-     link must sustain the peak rate, asynchronous modes the average). *)
-  List.iteri
-    (fun j (l : Hierarchy.level) ->
-      let required =
-        Demands.required_link_bandwidth ~workload:d.Design.workload
-          l.technique
-      in
-      if not (Rate.is_zero required) then begin
-        match l.link with
-        | None ->
-          add
-            (err ~code:"SSDEP-E012" Error (level_loc j l)
-               "%s requires an interconnect and none is configured"
-               (Technique.name l.technique))
-        | Some link -> (
-          match Interconnect.bandwidth link with
-          | Some bw when Rate.compare bw required < 0 ->
-            add
-              (err ~code:"SSDEP-E013" Error (Link link.Interconnect.name)
-                 "bandwidth %s cannot sustain %s traffic (%s required)"
-                 (Rate.to_string bw)
-                 (Technique.name l.technique)
-                 (Rate.to_string required))
-          | Some bw -> (
-            (* The link keeps up on average; warn when workload bursts
-               exceed it, so asynchronous mirrors will queue behind
-               [burstM * avgUpdateR] spikes. *)
-            match l.technique with
-            | Technique.Remote_mirror
-                { mode = Technique.Asynchronous | Technique.Asynchronous_batch;
-                  _ } ->
-              let peak = Workload.peak_update_rate d.Design.workload in
-              if Rate.compare bw peak < 0 then
-                add
-                  (err ~code:"SSDEP-W003" Warning
-                     (Link link.Interconnect.name)
-                     "bandwidth %s is below the peak (burst) update rate \
-                      %s: asynchronous propagation will lag during bursts"
-                     (Rate.to_string bw) (Rate.to_string peak))
-            | _ -> ())
-          | None -> ())
-      end)
-    (Hierarchy.levels h);
-  (* Aggregate oversubscription per interconnect: several levels may share
-     one link; the sum of their sustained propagation demands must fit. *)
-  List.iter
-    (fun (link : Interconnect.t) ->
-      match Interconnect.bandwidth link with
-      | None -> ()
-      | Some bw ->
-        let demand = Design.link_demand d link in
-        if Rate.compare demand bw > 0 then
-          add
-            (err ~code:"SSDEP-E018" Error (Link link.Interconnect.name)
-               "aggregate propagation demand %s exceeds link bandwidth %s"
-               (Rate.to_string demand) (Rate.to_string bw)))
-    (design_links d);
-  (* Workload parameter sanity. *)
-  List.iter add (check_workload d.Design.workload);
-  if
-    Rate.is_zero d.Design.workload.Workload.avg_update_rate
-    && Hierarchy.length h > 1
-  then
+  if Rate.is_zero w.Workload.avg_update_rate && Hierarchy.length h > 1 then
     add
       (err ~code:"SSDEP-W005" Warning Workload
          "update rate is zero, yet %d protection level(s) are configured \
           to capture updates"
          (Hierarchy.length h - 1));
-  (* Cost terms. *)
-  List.iter
-    (fun (dev : Device.t) ->
-      List.iter add
-        (check_cost_model
-           (Diagnostic.Device dev.Device.name)
-           ~owner:"device" dev.Device.cost))
-    (Design.devices d);
-  List.iter
-    (fun (link : Interconnect.t) ->
-      List.iter add
-        (check_cost_model
-           (Diagnostic.Link link.Interconnect.name)
-           ~owner:"link" link.Interconnect.cost))
-    (design_links d);
-  let b = d.Design.business in
-  List.iter
-    (fun (what, rate) ->
-      let v = Money_rate.to_usd_per_hour rate in
-      if not (nonneg_finite v) then
-        add
-          (err ~code:"SSDEP-E015" Error Business
-             "business %s is negative or non-finite (%g)" what v))
-    [
-      ("outage penalty rate", b.Business.outage_penalty_rate);
-      ("loss penalty rate", b.Business.loss_penalty_rate);
-    ];
   (* Advisories: the paper's convention 3 (§3.2.1) and guaranteed-range
      shallowness (§3.3.2, Figure 3). *)
   List.iter
@@ -447,58 +312,16 @@ let warnings ds =
 let infos ds =
   List.filter (fun d -> d.Diagnostic.severity = Diagnostic.Info) ds
 
-(* [accepts] is [errors (check_design d) = []] computed without building
-   a single diagnostic — it runs once per candidate as the search
-   pre-filter, where the [ksprintf] message formatting of [check_design]
-   would dominate the test itself. The static errors of [check_design]
-   decompose exactly into
-   - E010/E011/E012/E013/E018, which are [Design.validate] (memoized per
-     design) reporting the same conditions over the same device and link
-     sets, and
-   - the finiteness screens: E014 over the workload and E015 over every
-     device and link cost model and the business penalty rates,
-   so testing those three pieces is testing membership in the error set.
-   The test suite pins the equivalence against the diagnostic-building
-   definition on both clean and corrupted designs. *)
-
-let workload_finite (w : Workload.t) =
-  let cap = Size.to_bytes w.Workload.data_capacity in
-  finite cap && cap > 0.
-  && nonneg_finite (Rate.to_bytes_per_sec w.Workload.avg_access_rate)
-  && nonneg_finite (Rate.to_bytes_per_sec w.Workload.avg_update_rate)
-  && finite w.Workload.burst_multiplier
-  && w.Workload.burst_multiplier >= 1.
-  && List.for_all
-       (fun (_, r) -> nonneg_finite (Rate.to_bytes_per_sec r))
-       (Batch_curve.samples w.Workload.batch_curve)
-
-let cost_model_finite (c : Cost_model.t) =
-  nonneg_finite (Money.to_usd c.Cost_model.fixed)
-  && nonneg_finite c.Cost_model.per_gib
-  && nonneg_finite c.Cost_model.per_mib_per_sec
-  && nonneg_finite c.Cost_model.per_shipment
-
-let accepts d =
-  (match Design.validate d with Ok () -> true | Error _ -> false)
-  && workload_finite d.Design.workload
-  && List.for_all
-       (fun (dev : Device.t) -> cost_model_finite dev.Device.cost)
-       (Design.devices d)
-  && List.for_all
-       (fun (link : Interconnect.t) -> cost_model_finite link.Interconnect.cost)
-       (design_links d)
-  && nonneg_finite
-       (Money_rate.to_usd_per_hour d.Design.business.Business.outage_penalty_rate)
-  && nonneg_finite
-       (Money_rate.to_usd_per_hour d.Design.business.Business.loss_penalty_rate)
-
+let accepts d = Design.violations d = []
 let obs_pruned = Storage_obs.Counter.make "lint.pruned"
 
-let prune candidates =
-  let kept = List.filter accepts candidates in
-  Storage_obs.Counter.add obs_pruned
-    (List.length candidates - List.length kept);
-  kept
+let prefilter d =
+  accepts d
+  ||
+  (Storage_obs.Counter.incr obs_pruned;
+   false)
+
+let prune candidates = List.filter prefilter candidates
 
 let exit_code ?(deny_warnings = false) ds =
   if errors ds <> [] then 2

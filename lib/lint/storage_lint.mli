@@ -10,10 +10,13 @@ open Storage_model
     none of them need a single evaluation. This module gathers those
     checks as a rule set with stable codes ([SSDEP-E0xx] errors,
     [SSDEP-W0xx] warnings, [SSDEP-I0xx] advisories) and structured
-    {!Diagnostic.t} findings, rendered as a human table or JSON.
+    {!Diagnostic.t} findings, rendered as a human table or JSON. The
+    structural and design-wide errors are not decided here: they are
+    {!Hierarchy.violations} and {!Design.violations}, which this module
+    renders with codes and locations.
 
     Two callers: the [ssdep lint] CLI (human/CI feedback, exit codes), and
-    the design-space search, which uses {!prune} to reject statically
+    the design-space search, which uses {!prefilter} to reject statically
     invalid candidates before paying for {!Evaluate.run}
     (see {!Storage_optimize.Search.run}).
 
@@ -30,20 +33,18 @@ val rules : (string * Diagnostic.severity * string) list
     documented rule by rule (with paper references) in DESIGN.md. *)
 
 val check_levels : Hierarchy.level list -> Diagnostic.t list
-(** Structural conventions (§3.2.1) over a {e raw} level list, before
-    {!Hierarchy.make}: primary-copy placement (E001), missing schedules
-    (E002), decreasing retention counts (E003), accumulation windows
-    shorter than the upstream cycle period (E004), colocation (E005).
-    Unlike [Hierarchy.validate] — which guards the constructor and stops
-    at the first violation — this reports all of them. A list accepted by
-    [Hierarchy.make] produces no diagnostics here. *)
+(** {!Hierarchy.violations} of a {e raw} level list, one diagnostic each:
+    primary-copy placement (E001), missing schedules (E002), decreasing
+    retention counts (E003), accumulation windows shorter than the
+    upstream cycle period (E004), colocation (E005). [Hierarchy.make]
+    refuses such a list, so {!check} never reports these: a design file
+    that breaks one fails to load, in [ssdep lint] too. *)
 
 val check_design : Design.t -> Diagnostic.t list
-(** The scenario-independent rules: device over/near-commitment
-    (E010/E011/W001/W002), per-level interconnect requirements
-    (E012/E013/W003), aggregate link oversubscription (E018), workload
-    parameter validity (E014/W004/W005), cost-term validity (E015), and
-    the schedule advisories (I001/I002). *)
+(** The scenario-independent rules: first {!Design.violations}, one
+    error each (E010–E015, E018), then device near-commitment
+    (W001/W002), bursty asynchronous mirror links (W003), workload
+    consistency (W004/W005) and the schedule advisories (I001/I002). *)
 
 val check_scenario : Design.t -> string * Scenario.t -> Diagnostic.t list
 (** The rules for one named failure scenario: unreachable scenarios
@@ -60,13 +61,16 @@ val warnings : Diagnostic.t list -> Diagnostic.t list
 val infos : Diagnostic.t list -> Diagnostic.t list
 
 val accepts : Design.t -> bool
-(** No error-severity finding among the design-wide rules: the candidate
-    is worth evaluating. Warnings and advisories never reject. *)
+(** [Design.violations d = []]: no error among the design-wide rules, so
+    the candidate is worth evaluating. Warnings never reject. *)
+
+val prefilter : Design.t -> bool
+(** {!accepts}, counting every rejection in the [lint.pruned]
+    {!Storage_obs} counter, so [--stats] shows how much work the search
+    pre-filter saved. *)
 
 val prune : Design.t list -> Design.t list
-(** The candidates satisfying {!accepts}, in order. Every rejected
-    candidate increments the [lint.pruned] {!Storage_obs} counter, so
-    [--stats] shows how much work the pre-filter saved. *)
+(** The candidates satisfying {!prefilter}, in order. *)
 
 val exit_code : ?deny_warnings:bool -> Diagnostic.t list -> int
 (** CLI exit code: [2] with errors, [1] with warnings under

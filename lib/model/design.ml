@@ -16,6 +16,29 @@ type level_lag = {
   lag_rp_min : Duration.t;  (** zero for level 0 (no schedule) *)
 }
 
+type term_owner =
+  | Workload_term
+  | Device_term of string
+  | Link_term of string
+  | Business_term
+
+type violation =
+  | Capacity_overcommitted of Device.t * Device.utilization
+  | Bandwidth_overcommitted of Device.t * Device.utilization
+  | Missing_link of int
+  | Slow_link of {
+      level : int;
+      link : Interconnect.t;
+      bandwidth : Rate.t;
+      required : Rate.t;
+    }
+  | Oversubscribed_link of {
+      link : Interconnect.t;
+      demand : Rate.t;
+      bandwidth : Rate.t;
+    }
+  | Bad_term of { owner : term_owner; what : string; value : float }
+
 type derived = {
   d_placements : (int * Hierarchy.level * Demands.placement) list;
   d_devices : Device.t list;
@@ -23,7 +46,7 @@ type derived = {
   d_loaded : (string * Demand.labeled list) list;
   d_utilization : (string * Device.utilization) list;
   d_link_demands : (string * Rate.t) list;
-  d_validation : (unit, string list) result;
+  d_violations : violation list;
   d_level_lags : level_lag array;
 }
 
@@ -137,62 +160,87 @@ let distinct_links t =
       | Some _ | None -> None)
     (Hierarchy.levels t.hierarchy)
 
-(* The error conditions here must stay in one-to-one correspondence with
-   [Storage_lint]'s design-wide error rules (E010-E013, E018): [validate]
-   is the evaluation-time shim (it cannot call the lint library, which
-   sits above this one), and the [test_lint] property suite checks that a
-   design fails here iff it carries a lint error. *)
-let compute_validation t ~utilization ~link_demands =
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-  List.iter
-    (fun (name, (u : Device.utilization)) ->
+let nonneg_finite f = Float.is_finite f && f >= 0.
+
+let check_term out owner what value ok =
+  if not ok then out := Bad_term { owner; what; value } :: !out
+
+let check_cost_terms out owner (c : Cost_model.t) =
+  let check what v = check_term out owner what v (nonneg_finite v) in
+  check "fixed cost" (Money.to_usd c.Cost_model.fixed);
+  check "per-GiB cost" c.Cost_model.per_gib;
+  check "per-MiB/s cost" c.Cost_model.per_mib_per_sec;
+  check "per-shipment cost" c.Cost_model.per_shipment
+
+let compute_violations t devices ~utilization ~link_demands links =
+  let out = ref [] in
+  let add v = out := v :: !out in
+  (* §3.3.1's global overcommitment check. *)
+  List.iter2
+    (fun dev (_, (u : Device.utilization)) ->
       if u.Device.capacity_fraction > 1. then
-        err "device %s capacity overcommitted: %.1f%%" name
-          (100. *. u.Device.capacity_fraction);
+        add (Capacity_overcommitted (dev, u));
       if u.Device.bandwidth_fraction > 1. then
-        err "device %s bandwidth overcommitted: %.1f%%" name
-          (100. *. u.Device.bandwidth_fraction))
-    utilization;
-  List.iter
-    (fun (l : Hierarchy.level) ->
+        add (Bandwidth_overcommitted (dev, u)))
+    devices utilization;
+  (* Per-level interconnect requirements: a synchronous mirror link must
+     sustain the peak rate, asynchronous modes the average. *)
+  List.iteri
+    (fun j (l : Hierarchy.level) ->
       let required =
         Demands.required_link_bandwidth ~workload:t.workload l.technique
       in
       if not (Rate.is_zero required) then begin
         match l.link with
-        | None ->
-          err "%s requires an interconnect" (Technique.name l.technique)
+        | None -> add (Missing_link j)
         | Some link -> (
           match Interconnect.bandwidth link with
-          | Some bw when Rate.compare bw required < 0 ->
-            err "link %s (%s) cannot sustain %s traffic (%s required)"
-              link.Interconnect.name (Rate.to_string bw)
-              (Technique.name l.technique)
-              (Rate.to_string required)
+          | Some bandwidth when Rate.compare bandwidth required < 0 ->
+            add (Slow_link { level = j; link; bandwidth; required })
           | Some _ | None -> ())
       end)
     (Hierarchy.levels t.hierarchy);
   (* Aggregate oversubscription: levels sharing an interconnect must fit
-     on it together (§3.3.1's global check applied to links). *)
-  List.iter
-    (fun link ->
+     on it together. *)
+  List.iter2
+    (fun link (_, demand) ->
       match Interconnect.bandwidth link with
-      | Some bw ->
-        let demand =
-          match List.assoc link.Interconnect.name link_demands with
-          | d -> d
-          | exception Not_found -> Rate.zero
-        in
-        if Rate.compare demand bw > 0 then
-          err
-            "link %s oversubscribed: aggregate propagation demand %s \
-             exceeds bandwidth %s"
-            link.Interconnect.name (Rate.to_string demand)
-            (Rate.to_string bw)
-      | None -> ())
-    (distinct_links t);
-  match !errors with [] -> Ok () | es -> Error (List.rev es)
+      | Some bandwidth when Rate.compare demand bandwidth > 0 ->
+        add (Oversubscribed_link { link; demand; bandwidth })
+      | Some _ | None -> ())
+    links link_demands;
+  (* Workload parameters and cost terms the models would price. *)
+  let w = t.workload in
+  let rate what r =
+    let v = Rate.to_bytes_per_sec r in
+    check_term out Workload_term what v (nonneg_finite v)
+  in
+  let cap = Size.to_bytes w.Workload.data_capacity in
+  check_term out Workload_term "data capacity" cap
+    (Float.is_finite cap && cap > 0.);
+  rate "average access rate" w.Workload.avg_access_rate;
+  rate "average update rate" w.Workload.avg_update_rate;
+  let burst = w.Workload.burst_multiplier in
+  check_term out Workload_term "burst multiplier" burst
+    (Float.is_finite burst && burst >= 1.);
+  List.iter
+    (fun (_, r) -> rate "batch update rate" r)
+    (Batch_curve.samples w.Workload.batch_curve);
+  List.iter
+    (fun (d : Device.t) ->
+      check_cost_terms out (Device_term d.Device.name) d.Device.cost)
+    devices;
+  List.iter
+    (fun (l : Interconnect.t) ->
+      check_cost_terms out (Link_term l.Interconnect.name) l.Interconnect.cost)
+    links;
+  let penalty what rate =
+    let v = Money_rate.to_usd_per_hour rate in
+    check_term out Business_term what v (nonneg_finite v)
+  in
+  penalty "outage penalty rate" t.business.Business.outage_penalty_rate;
+  penalty "loss penalty rate" t.business.Business.loss_penalty_rate;
+  List.rev !out
 
 let compute_level_lags t =
   let h = t.hierarchy in
@@ -228,15 +276,16 @@ let compute_derived t =
         (d.Device.name, Device.utilization d loaded))
       d_devices d_loaded
   in
+  let links = distinct_links t in
   let d_link_demands =
     List.map
       (fun (link : Interconnect.t) ->
         (link.Interconnect.name, compute_link_demand d_placements link))
-      (distinct_links t)
+      links
   in
-  let d_validation =
-    compute_validation t ~utilization:d_utilization
-      ~link_demands:d_link_demands
+  let d_violations =
+    compute_violations t d_devices ~utilization:d_utilization
+      ~link_demands:d_link_demands links
   in
   {
     d_placements;
@@ -245,7 +294,7 @@ let compute_derived t =
     d_loaded;
     d_utilization;
     d_link_demands;
-    d_validation;
+    d_violations;
     d_level_lags = compute_level_lags t;
   }
 
@@ -260,9 +309,6 @@ let derived t =
     d
 
 let devices t = (derived t).d_devices
-
-let device t name =
-  List.find_opt (fun d -> String.equal d.Device.name name) (devices t)
 
 let placements t = (derived t).d_placements
 
@@ -286,7 +332,43 @@ let link_demand t (link : Interconnect.t) =
   | Some d -> d
   | None -> compute_link_demand (placements t) link
 
-let validate t = (derived t).d_validation
+let violations t = (derived t).d_violations
+
+let term_owner_name = function
+  | Workload_term -> "workload"
+  | Device_term name -> "device " ^ name
+  | Link_term name -> "link " ^ name
+  | Business_term -> "business"
+
+let violation_message t = function
+  | Capacity_overcommitted (dev, u) ->
+    Printf.sprintf "device %s capacity overcommitted: %.1f%%" dev.Device.name
+      (100. *. u.Device.capacity_fraction)
+  | Bandwidth_overcommitted (dev, u) ->
+    Printf.sprintf "device %s bandwidth overcommitted: %.1f%%" dev.Device.name
+      (100. *. u.Device.bandwidth_fraction)
+  | Missing_link j ->
+    Printf.sprintf "%s requires an interconnect"
+      (Technique.name (Hierarchy.level t.hierarchy j).Hierarchy.technique)
+  | Slow_link { level; link; bandwidth; required } ->
+    Printf.sprintf "link %s (%s) cannot sustain %s traffic (%s required)"
+      link.Interconnect.name (Rate.to_string bandwidth)
+      (Technique.name (Hierarchy.level t.hierarchy level).Hierarchy.technique)
+      (Rate.to_string required)
+  | Oversubscribed_link { link; demand; bandwidth } ->
+    Printf.sprintf
+      "link %s oversubscribed: aggregate propagation demand %s exceeds \
+       bandwidth %s"
+      link.Interconnect.name (Rate.to_string demand)
+      (Rate.to_string bandwidth)
+  | Bad_term { owner; what; value } ->
+    Printf.sprintf "%s %s is negative or non-finite (%g)"
+      (term_owner_name owner) what value
+
+let validate t =
+  match violations t with
+  | [] -> Ok ()
+  | vs -> Error (List.map (violation_message t) vs)
 
 let level_lag_exn t j =
   let lags = (derived t).d_level_lags in

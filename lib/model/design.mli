@@ -63,8 +63,6 @@ val devices : t -> Device.t list
 (** The distinct devices of the hierarchy, in first-appearance order
     (identity by device name). *)
 
-val device : t -> string -> Device.t option
-
 val demands_on : t -> Device.t -> Demand.labeled list
 (** This design's own normal-mode demands landing on one device, labeled
     by technique: a level's [on_target] lands on its own device, its
@@ -115,17 +113,44 @@ val fingerprint : t -> string
     such a cache is actually in play: nothing on the cache-less evaluation
     path calls it. *)
 
-val validate : t -> (unit, string list) result
-(** Full design validation: hierarchy warnings are not errors, but the
-    following are: any device overcommitted in capacity or bandwidth
-    (§3.3.1's global check), any mirror link with less aggregate
-    bandwidth than the mode requires (peak rate for synchronous mirrors),
-    and any interconnect whose aggregate propagation demand across the
-    levels sharing it exceeds its bandwidth.
+type term_owner =
+  | Workload_term
+  | Device_term of string  (** a device's cost model, by device name *)
+  | Link_term of string  (** a link's cost model, by link name *)
+  | Business_term  (** the outage and loss penalty rates *)
 
-    This is the evaluation-time shim behind {!Evaluate.run}'s [errors];
-    the full static analyzer — same error conditions plus warnings,
-    advisories, scenario rules, stable codes and structured locations —
-    is [Storage_lint.check] (which layers above this library). *)
+type violation =
+  | Capacity_overcommitted of Device.t * Device.utilization
+      (** the device's loaded capacity demand exceeds it (§3.3.1) *)
+  | Bandwidth_overcommitted of Device.t * Device.utilization
+      (** the device's loaded bandwidth demand exceeds it (§3.3.1) *)
+  | Missing_link of int
+      (** the level's technique needs an interconnect and has none *)
+  | Slow_link of {
+      level : int;
+      link : Interconnect.t;
+      bandwidth : Rate.t;
+      required : Rate.t;
+    }
+      (** the level's link is slower than its technique requires *)
+  | Oversubscribed_link of {
+      link : Interconnect.t;
+      demand : Rate.t;
+      bandwidth : Rate.t;
+    }  (** the levels sharing the link demand more than it carries *)
+  | Bad_term of { owner : term_owner; what : string; value : float }
+      (** a negative or non-finite workload parameter, cost term or penalty
+          rate (or a zero data capacity, or a burst multiplier below 1) *)
+(** A static condition under which the design cannot be evaluated. *)
+
+val violations : t -> violation list
+(** Every violation of the design, in {!devices}, level and link order,
+    memoized. [[]] is the one feasibility verdict: {!validate} renders
+    this list, and [Storage_lint] maps each element to its rule code
+    (E010–E015, E018). *)
+
+val validate : t -> (unit, string list) result
+(** {!violations} rendered as one message each: [Ok ()] when there are
+    none. {!Evaluate.run} reports these messages as its [errors]. *)
 
 val pp : t Fmt.t

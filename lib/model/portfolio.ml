@@ -133,30 +133,25 @@ let outlays t =
   in
   (per_member, Money.sum (List.map snd per_member))
 
-(* Shared by name with [Storage_lint.prune]'s counter: both pre-filters
-   report into the one [lint.pruned] metric. *)
+(* Shared by name with [Storage_lint.prefilter]'s counter: both
+   pre-filters report into the one [lint.pruned] metric. *)
 let obs_pruned = Storage_obs.Counter.make "lint.pruned"
 
-let lint_members t =
-  List.filter
-    (fun (m : Design.t) ->
-      match Design.validate m with
-      | Ok () -> true
-      | Error _ ->
-        Storage_obs.Counter.incr obs_pruned;
-        false)
-    t.members
-
 let evaluate ?engine t scenario =
+  let members =
+    List.filter
+      (fun m ->
+        Design.violations m = []
+        ||
+        (Storage_obs.Counter.incr obs_pruned;
+         false))
+      t.members
+  in
   match engine with
   | None ->
-    List.map
-      (fun (m : Design.t) -> (m.Design.name, Evaluate.run m scenario))
-      (lint_members t)
+    List.map (fun (m : Design.t) -> (m.Design.name, Evaluate.run m scenario))
+      members
   | Some e ->
-    let members =
-      if Storage_engine.lint e then lint_members t else t.members
-    in
     let cache = Eval_cache.of_engine e in
     Storage_engine.map e
       (fun (m : Design.t) -> (m.Design.name, Eval_cache.run cache m scenario))

@@ -52,18 +52,17 @@ val evaluate :
     demands), which is the conservative reading of a shared-infrastructure
     disaster. Results are in member order whatever the engine's [jobs].
 
-    The [?engine] supplies parallelism, the shared evaluation cache
-    ({!Eval_cache.of_engine}) and the lint policy. Without an engine the
-    evaluation is serial, uncached, lint on — byte-identical to the
-    default engine's results.
+    The [?engine] supplies parallelism and the shared evaluation cache
+    ({!Eval_cache.of_engine}). Without an engine the evaluation is
+    serial and uncached — byte-identical to the default engine's
+    results.
 
-    When the engine's lint policy is on (the default), members that fail
-    {!Design.validate} (typically overcommitted by the combined
-    background load) are skipped instead of evaluated into a report full
-    of validation errors; each skip increments the shared [lint.pruned]
-    {!Storage_obs} counter. Such members still show up in
+    Members with {!Design.violations} (typically overcommitted by the
+    combined background load, or carrying a non-finite cost term) are
+    skipped instead of evaluated; each skip increments the shared
+    [lint.pruned] {!Storage_obs} counter. Such members still show up in
     {!overcommitted}, which is the right place to diagnose a
-    consolidation that does not fit. Pass an engine created with
-    [~lint:false] to get a (failed) report for every member. *)
+    consolidation that does not fit, and {!Design.validate} on one of
+    {!members} says why it was skipped. *)
 
 val pp : t Fmt.t

@@ -160,7 +160,7 @@ let assemble ~background kit ~name levels =
       Design.make ~name ~workload:kit.workload ~hierarchy
         ~business:kit.business ~background ()
     in
-    if Design.validate design = Ok () then Some design else None
+    if Design.violations design = [] then Some design else None
 
 (* --- the grid as an indexed coordinate space --- *)
 

@@ -17,10 +17,6 @@ type result = {
 let t_search = Storage_obs.Timer.make "search.run"
 let obs_evaluations = Storage_obs.Counter.make "search.evaluations"
 
-(* Shared by name with [Storage_lint.prune]'s counter: every static
-   pre-filter reports into the one [lint.pruned] metric. *)
-let obs_pruned = Storage_obs.Counter.make "lint.pruned"
-
 let () =
   Storage_obs.gauge "search.evals_per_second" (fun () ->
       let s = Storage_obs.Timer.total_seconds t_search in
@@ -66,23 +62,10 @@ let run ?engine ?top_k candidates scenarios =
       ~finally:(fun () -> if owned then Engine.shutdown engine)
     @@ fun () ->
     Storage_obs.Timer.time t_search @@ fun () ->
-    (* Static pre-filter, applied per element as the grid streams by:
-       candidates carrying lint errors would only come back as infeasible
-       reports full of validation errors — reject them before paying for
-       [Evaluate.run] (the [lint.pruned] counter shows how many were
-       saved). The surviving results are identical to a run over a
-       hand-filtered candidate list. *)
-    let candidates =
-      if Engine.lint engine then
-        Seq.filter
-          (fun d ->
-            Storage_lint.accepts d
-            ||
-            (Storage_obs.Counter.incr obs_pruned;
-             false))
-          candidates
-      else candidates
-    in
+    (* Static pre-filter, per element as the grid streams by: a candidate
+       with [Design.violations] would only come back infeasible, so it is
+       dropped (and counted in [lint.pruned]) before [Evaluate.run]. *)
+    let candidates = Seq.filter Storage_lint.prefilter candidates in
     let nscenarios = List.length scenarios in
     (* Evaluation streams through the engine's pool in bounded windows;
        the fold below is the only consumer, so the live set is one

@@ -469,7 +469,8 @@ let fleet_degenerate =
             (* The reduction, recomputed here independently of run_trial:
                an unrecoverable failure is down (and lost) until the end
                of the horizon; a source at level 0 needs no transfer; a
-               priced recovery is the outage and the one rebuild. *)
+               priced recovery is the outage and the one rebuild, unless
+               it ends past the horizon, where it is cut and unfinished. *)
             let expected_outage_s, expected_losses, expected_rebuilds =
               match
                 (m.Storage_sim.Sim.source_level,
@@ -478,7 +479,11 @@ let fleet_degenerate =
               | None, _ ->
                 (horizon_s -. Duration.to_seconds e.Scenario.at, 1, [])
               | Some 0, _ | Some _, None -> (0., 0, [])
-              | Some _, Some rt -> (Duration.to_seconds rt, 0, [ rt ])
+              | Some _, Some rt ->
+                let at_s = Duration.to_seconds e.Scenario.at in
+                if at_s +. Duration.to_seconds rt > horizon_s then
+                  (horizon_s -. at_s, 0, [])
+                else (Duration.to_seconds rt, 0, [ rt ])
             in
             let expected_outage_s = Float.min expected_outage_s horizon_s in
             let expected_bytes =

@@ -20,7 +20,6 @@ let check_same_bytes msg a b =
 let test_create_defaults () =
   let e = Engine.create () in
   Alcotest.(check int) "jobs" 1 (Engine.jobs e);
-  Alcotest.(check bool) "lint" true (Engine.lint e);
   Alcotest.(check bool) "stats" false (Engine.stats e);
   Alcotest.(check (option int)) "cache_bound" None (Engine.cache_bound e);
   Engine.shutdown e

@@ -242,6 +242,35 @@ let test_multi_event_trials_hand_count () =
   Alcotest.(check int) "trials with >= 2 failures" hand
     report.Fleet.multi_event_trials
 
+(* A one-event trial whose recovery ends past the horizon is cut there,
+   like a cluster's: the outage stops at the horizon and no rebuild
+   completed. Seed 917 fails at ~199.7 h of a 200 h horizon and needs
+   ~1.6 h to recover. *)
+let test_one_event_clipped_at_horizon () =
+  let horizon = Duration.hours 200. in
+  let rates = Fleet.rates ~default_afr:20. () in
+  let seed = 917L in
+  let design = Baseline.design in
+  match Fleet.sample_events ~rates ~horizon ~seed design with
+  | [ e ] ->
+    let at_s = Duration.to_seconds e.Scenario.at in
+    let m = Fleet.single_event_measured design e in
+    (match m.Sim.recovery_time with
+    | Some rt ->
+      Alcotest.(check bool) "the recovery crosses the horizon" true
+        (at_s +. Duration.to_seconds rt > Duration.to_seconds horizon)
+    | None -> Alcotest.fail "the failure is not recovered");
+    let t = Fleet.run_trial ~rates ~horizon ~seed ~index:0 design in
+    Alcotest.(check (float 1e-9)) "outage ends at the horizon"
+      (Duration.to_seconds horizon -. at_s)
+      (Duration.to_seconds t.Fleet.outage);
+    Alcotest.(check int) "no completed rebuild" 0
+      (List.length t.Fleet.rebuilds);
+    Alcotest.(check int) "no loss" 0 t.Fleet.losses
+  | events ->
+    Alcotest.failf "seed 917 samples %d events, expected one"
+      (List.length events)
+
 let suite =
   [
     ( "scenario.algebra",
@@ -274,5 +303,7 @@ let suite =
           `Quick test_fleet_report_deterministic_and_sane;
         Alcotest.test_case "multi_event_trials = hand count of replays"
           `Quick test_multi_event_trials_hand_count;
+        Alcotest.test_case "one-event trial clipped at the horizon" `Quick
+          test_one_event_clipped_at_horizon;
       ] );
   ]

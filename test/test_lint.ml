@@ -303,6 +303,75 @@ let test_check_levels_matches_constructor () =
         "lint accepts" [] (codes (Lint.check_levels levels)))
     valid
 
+(* The exact text of each constructor and validation error, so a change
+   in how the checks are computed cannot silently change what users
+   read. A [Missing_schedule] never reaches [Hierarchy.make]'s message:
+   only a primary copy lacks a schedule, and that is reported first. *)
+let test_pinned_messages () =
+  let make_error levels =
+    match Hierarchy.make levels with Ok _ -> "ok" | Error m -> m
+  in
+  List.iter
+    (fun (expected, levels) ->
+      Alcotest.(check string) expected expected (make_error levels))
+    [
+      ("hierarchy must have at least a primary level", []);
+      ("level 0 must be a primary copy", [ split (arr ()) ]);
+      ("only level 0 may be a primary copy", [ prim (arr ()); prim (arr ()) ]);
+      ( "split mirrors and virtual snapshots must be hosted on the primary \
+         device",
+        [ prim (arr ()); split (arr ~name:"other" ()) ] );
+      ( "retention count must not decrease with level (split mirror -> \
+         backup)",
+        [ prim (arr ()); split ~ret:4 (arr ()); backup ~ret:2 (tape ()) san ]
+      );
+      ( "accumulation window of backup is shorter than the cycle period of \
+         split mirror",
+        [ prim (arr ()); split ~acc:12. (arr ()); backup ~acc:6. (tape ()) san ]
+      );
+      (* Two conventions broken: colocation (level 3) is reported before
+         the retention pair (level 2). *)
+      ( "split mirrors and virtual snapshots must be hosted on the primary \
+         device",
+        [ prim (arr ()); split ~ret:4 (arr ()); backup ~ret:2 (tape ()) san;
+          split (arr ~name:"other" ()) ] );
+    ];
+  let validate_errors d =
+    match Design.validate d with Ok () -> [] | Error es -> es
+  in
+  let wan = net "wan" 800. in
+  List.iter
+    (fun (expected, d) ->
+      Alcotest.(check (list string)) (String.concat "; " expected) expected
+        (validate_errors d))
+    [
+      ( [ "device arr capacity overcommitted: 125.0%" ],
+        design ~workload:(wl ~cap:(Size.gib 2000.) ()) [ prim (arr ()) ] );
+      ( [ "device arr bandwidth overcommitted: 133.3%" ],
+        design
+          ~workload:(wl ~access:(Rate.mib_per_sec 400.) ())
+          [ prim (arr ()) ] );
+      ( [ "sync mirror requires an interconnect" ],
+        design [ prim (arr ()); mirror (arr ~name:"rem" ~loc:away ()) None ] );
+      ( [ "link thin (100.00 KiB/s) cannot sustain sync mirror traffic \
+           (1.95 MiB/s required)";
+          "link thin oversubscribed: aggregate propagation demand 500.00 \
+           KiB/s exceeds bandwidth 100.00 KiB/s" ],
+        design
+          [ prim (arr ());
+            mirror (arr ~name:"rem" ~loc:away ()) (Some (net "thin" 100.)) ] );
+      ( [ "link wan oversubscribed: aggregate propagation demand 1000.00 \
+           KiB/s exceeds bandwidth 800.00 KiB/s" ],
+        design
+          [ prim (arr ());
+            mirror ~mode:Technique.Asynchronous
+              (arr ~name:"rem1" ~loc:away ())
+              (Some wan);
+            mirror ~mode:Technique.Asynchronous
+              (arr ~name:"rem2" ~loc:away ())
+              (Some wan) ] );
+    ]
+
 let baseline_scenarios =
   [
     scenario "user-error" Baseline.scenario_object;
@@ -424,32 +493,21 @@ let test_search_prunes () =
   Storage_obs.disable ();
   Alcotest.(check int) "lint.pruned counted" 1
     (Storage_obs.Counter.value (Storage_obs.Counter.make "lint.pruned"));
-  let no_lint candidates =
-    Storage_engine.with_engine ~lint:false (fun engine ->
-        Search.run ~engine (List.to_seq candidates) scenarios)
-  in
-  let hand_filtered = no_lint good in
+  let hand_filtered = Search.run (List.to_seq good) scenarios in
   Alcotest.(check (list (triple string (float 1e-9) bool)))
     "results identical to a hand-filtered run"
     (List.map summary_key hand_filtered.Search.evaluated)
     (List.map summary_key pruned.Search.evaluated);
-  (* Without the filter the invalid candidate is scored (and comes back
-     infeasible) instead of being dropped. *)
-  let unfiltered = no_lint seeded in
-  Alcotest.(check int) "unfiltered evaluates all" 3
-    (List.length unfiltered.Search.evaluated);
-  let bad =
-    List.find
-      (fun s -> s.Objective.design.Design.name = "overcommitted")
-      unfiltered.Search.evaluated
-  in
+  (* Scored anyway, the pruned candidate comes back infeasible: the
+     filter only saves work. *)
+  let bad = Objective.summarize overcommitted_candidate scenarios in
   Alcotest.(check bool) "invalid candidate is infeasible" false
     bad.Objective.feasible
 
 let test_portfolio_prunes () =
   (* Two members that fit alone but overcommit the shared array together:
-     the default evaluation skips them (they are diagnosable via
-     [overcommitted]), [~lint:false] scores them into failed reports. *)
+     the evaluation skips them (they are diagnosable via [overcommitted]
+     and by evaluating a member directly). *)
   let member name =
     design ~name ~workload:(wl ~cap:(Size.gib 900.) ()) [ prim (arr ()) ]
   in
@@ -463,16 +521,42 @@ let test_portfolio_prunes () =
   Alcotest.(check int) "overcommitted members skipped" 0 (List.length skipped);
   Alcotest.(check int) "skips counted" 2
     (Storage_obs.Counter.value (Storage_obs.Counter.make "lint.pruned"));
-  let forced =
-    Storage_engine.with_engine ~lint:false (fun engine ->
-        Portfolio.evaluate ~engine p Baseline.scenario_object)
-  in
-  Alcotest.(check int) "lint:false evaluates everyone" 2 (List.length forced);
+  (* Evaluated directly, each skipped member reports why. *)
   List.iter
-    (fun (_, r) ->
-      Alcotest.(check bool) "forced reports carry errors" false
-        (r.Evaluate.errors = []))
-    forced
+    (fun m ->
+      Alcotest.(check bool) "direct reports carry errors" false
+        ((Evaluate.run m Baseline.scenario_object).Evaluate.errors = []))
+    (Portfolio.members p)
+
+(* A member with a NaN cost term cannot be priced: the portfolio skips
+   it like an overcommitted one instead of raising from [Evaluate.run],
+   and lint still names the term. *)
+let test_portfolio_nan_member () =
+  let nan_box =
+    arr ~name:"nanbox" ~cost:(Cost_model.make ~per_gib:Float.nan ()) ()
+  in
+  let p =
+    Portfolio.make_exn
+      [ design ~name:"m1" [ prim (arr ()) ]; design ~name:"m2" [ prim nan_box ] ]
+  in
+  let m2 = Option.get (Portfolio.member p "m2") in
+  Alcotest.(check bool) "validate rejects the NaN member" true
+    (Result.is_error (Design.validate m2));
+  Storage_obs.enable ();
+  Storage_obs.reset ();
+  let reports = Portfolio.evaluate p Baseline.scenario_object in
+  Storage_obs.disable ();
+  Alcotest.(check (list string)) "NaN member skipped" [ "m1" ]
+    (List.map fst reports);
+  Alcotest.(check int) "skip counted" 1
+    (Storage_obs.Counter.value (Storage_obs.Counter.make "lint.pruned"));
+  Alcotest.(check bool) "E015 names the term" true
+    (List.exists
+       (fun (x : Diag.t) ->
+         x.Diag.code = "SSDEP-E015"
+         && x.Diag.location = Diag.Device "nanbox"
+         && x.Diag.message = "device per-GiB cost is negative or non-finite (nan)")
+       (Lint.check_design m2))
 
 let test_exit_codes () =
   let errd = [ Diag.make ~code:"SSDEP-E010" Diag.Error Diag.Design_wide "x" ] in
@@ -513,9 +597,13 @@ let suite =
           test_clean_design;
         Alcotest.test_case "check_levels matches Hierarchy.make" `Quick
           test_check_levels_matches_constructor;
+        Alcotest.test_case "pinned constructor and validation messages"
+          `Quick test_pinned_messages;
         Alcotest.test_case "presets lint clean" `Quick test_presets_lint_clean;
         Alcotest.test_case "search pre-filter" `Quick test_search_prunes;
         Alcotest.test_case "portfolio pre-filter" `Quick test_portfolio_prunes;
+        Alcotest.test_case "portfolio skips a NaN-cost member" `Quick
+          test_portfolio_nan_member;
         Alcotest.test_case "exit codes" `Quick test_exit_codes;
         Alcotest.test_case "stable diagnostic order" `Quick test_stable_order;
         Alcotest.test_case "accepts = no check_design errors" `Quick
