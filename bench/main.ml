@@ -30,6 +30,28 @@ open Toolkit
 open Storage_units
 open Storage_model
 open Storage_presets
+module J = Storage_report.Json
+module Engine = Storage_optimize.Engine
+module Search = Storage_optimize.Search
+module Solver = Storage_optimize.Solver
+module Fleet = Storage_fleet.Fleet
+
+(* The search benches' kit (cello workload on the baseline preset
+   hardware) and their two hardware-failure scenarios. *)
+let kit =
+  {
+    Storage_optimize.Candidate.workload = Cello.workload;
+    business = Baseline.business;
+    primary = Baseline.disk_array;
+    tape_library = Baseline.tape_library;
+    vault = Baseline.vault;
+    remote_array = Baseline.remote_array;
+    san = Baseline.san;
+    shipment = Baseline.air_shipment;
+    wan = (fun links -> Baseline.oc3 ~links);
+  }
+
+let array_and_site = [ Baseline.scenario_array; Baseline.scenario_site ]
 
 (* --- artifact regeneration --- *)
 
@@ -98,26 +120,12 @@ let validate () =
 (* --- design-space search ablation --- *)
 
 let pareto () =
-  let kit =
-    {
-      Storage_optimize.Candidate.workload = Cello.workload;
-      business = Baseline.business;
-      primary = Baseline.disk_array;
-      tape_library = Baseline.tape_library;
-      vault = Baseline.vault;
-      remote_array = Baseline.remote_array;
-      san = Baseline.san;
-      shipment = Baseline.air_shipment;
-      wan = (fun links -> Baseline.oc3 ~links);
-    }
-  in
   let candidates =
     Storage_optimize.Candidate.enumerate kit
       Storage_optimize.Candidate.default_space
   in
-  let scenarios = [ Baseline.scenario_array; Baseline.scenario_site ] in
-  let result = Storage_optimize.Search.run candidates scenarios in
-  Fmt.pr "%a@." Storage_optimize.Search.pp result
+  let result = Search.run candidates array_and_site in
+  Fmt.pr "%a@." Search.pp result
 
 (* --- ablations: the design choices DESIGN.md calls out --- *)
 
@@ -367,20 +375,133 @@ let ablate () =
   ablate_growth ();
   ablate_tail_risk ()
 
-(* --- multicore evaluation-engine benchmark --- *)
+(* --- shared measurements ---
 
-let parallel_kit =
-  {
-    Storage_optimize.Candidate.workload = Cello.workload;
-    business = Baseline.business;
-    primary = Baseline.disk_array;
-    tape_library = Baseline.tape_library;
-    vault = Baseline.vault;
-    remote_array = Baseline.remote_array;
-    san = Baseline.san;
-    shipment = Baseline.air_shipment;
-    wan = (fun links -> Baseline.oc3 ~links);
-  }
+   Each quantity a [--check] gate bounds is measured by one function
+   below; the mode that writes its BENCH_*.json and the gate both call
+   it, each with its own repeats and grid. *)
+
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+let time_best_of ?(repeats = 3) f =
+  let rec go best n =
+    if n = 0 then best
+    else
+      let _, dt = timed (fun () -> Sys.opaque_identity (f ())) in
+      go (Float.min best dt) (n - 1)
+  in
+  go infinity repeats
+
+let write_bench_json name json =
+  Out_channel.with_open_text name (fun oc ->
+      output_string oc (J.to_string_pretty json);
+      output_char oc '\n');
+  print_endline ("  wrote " ^ name)
+
+(* One streaming top-10 search on a fresh engine bounded at 512 cache
+   entries: the search every streaming measurement times. *)
+let search ~cache ~jobs candidates scenarios =
+  let engine = Engine.create ~jobs ~cache ~cache_bound:512 () in
+  Fun.protect
+    ~finally:(fun () -> Engine.shutdown engine)
+    (fun () -> Search.run ~engine ~top_k:10 candidates scenarios)
+
+(* Streaming throughput (serial-throughput and parallel-speedup gates,
+   stream's headline): best wall time of a cache-off search over
+   [grid ()]. Cache off is the configuration a one-shot sweep over an
+   all-distinct grid runs in — it cannot hit, so fingerprinting and memo
+   bookkeeping would be pure overhead — and the grid is unmonitored:
+   [peak_live_words]' sampling costs more than the evaluations. *)
+let search_seconds ~repeats ~jobs grid scenarios =
+  time_best_of ~repeats (fun () -> search ~cache:false ~jobs (grid ()) scenarios)
+
+(* Peak live words (peak-live-words gate, stream's memory runs): the
+   maximum of [Gc.stat().live_words] right after a forced major
+   collection, sampled before [f], every 1024 candidates of the sequence
+   [f] passes through its [monitored] argument, and once after [f] with
+   its result still live — which is what exposes a materialized path's
+   O(grid) retention. [Gc.top_heap_words] would be the obvious candidate
+   but is useless here: it is monotonic over the process lifetime and, on
+   OCaml 5.1, tracks the allocator's sawtooth high-water mark — the
+   runtime has no heap compaction, so the number reflects allocation
+   churn and fragmentation, not the working set. Returns the result, the
+   wall time and the peak. *)
+let peak_live_words f =
+  let peak = ref 0 in
+  let sample () =
+    Gc.full_major ();
+    let live = (Gc.stat ()).Gc.live_words in
+    if live > !peak then peak := live
+  in
+  let monitored cs =
+    Seq.mapi (fun i d -> if i mod 1024 = 0 then sample (); d) cs
+  in
+  sample ();
+  let result, seconds = timed (fun () -> f monitored) in
+  sample ();
+  (result, seconds, !peak)
+
+(* Fleet throughput (fleet-trials-per-sec gate, fleet mode): the report
+   of a [config] run of [d] on a fresh [jobs]-domain engine and the best
+   wall time of [repeats] runs. *)
+let fleet_run ~repeats ~jobs ~config d =
+  let run () =
+    Storage_engine.with_engine ~jobs (fun engine -> Fleet.run ~engine ~config d)
+  in
+  let report, first = timed run in
+  (report, Float.min first (time_best_of ~repeats:(repeats - 1) run))
+
+type solver_parity = {
+  grid : Solver.result;
+  grid_seconds : float;
+  anneal : Solver.result;
+  anneal_seconds : float;
+  anneal_budget : int;
+}
+
+(* Solver-vs-grid parity (solver-vs-grid gate, solver mode): the grid
+   search over the tier grid, then annealing with the same pinned seed,
+   budgeted at [solver_budget_fraction] of the candidates the grid
+   evaluated, both on one cache-off [jobs]-domain engine. *)
+let solver_parity ~jobs (b : Baselines.tier) scenarios =
+  let space =
+    Storage_optimize.Candidate.scaled_space ~scale:b.Baselines.grid_scale
+  in
+  let engine = Engine.create ~jobs ~cache:false () in
+  Fun.protect ~finally:(fun () -> Engine.shutdown engine) @@ fun () ->
+  let solve method_ ?budget () =
+    timed (fun () ->
+        Solver.run ~engine ?budget ~seed:b.Baselines.solver_seed ~method_ kit
+          space scenarios)
+  in
+  let grid, grid_seconds = solve Solver.Grid () in
+  let anneal_budget =
+    Int.max 1
+      (int_of_float
+         (b.Baselines.solver_budget_fraction
+         *. float_of_int grid.Solver.stats.Solver.evaluations))
+  in
+  let anneal, anneal_seconds = solve Solver.Anneal ~budget:anneal_budget () in
+  { grid; grid_seconds; anneal; anneal_seconds; anneal_budget }
+
+let best_total (r : Solver.result) =
+  Option.map
+    (fun (s : Storage_optimize.Objective.summary) ->
+      s.Storage_optimize.Objective.worst_total_cost)
+    r.Solver.best
+
+let matches_grid p r =
+  Option.compare Money.compare (best_total r) (best_total p.grid) = 0
+
+(* Share of the grid's evaluations [r] spent. *)
+let fraction_of_grid p (r : Solver.result) =
+  float_of_int r.Solver.stats.Solver.evaluations
+  /. float_of_int p.grid.Solver.stats.Solver.evaluations
+
+(* --- multicore evaluation-engine benchmark --- *)
 
 (* A widened grid: a few hundred candidates, the scale §4.2's automated
    what-if exploration is about. *)
@@ -399,29 +520,13 @@ let parallel_space =
     mirror_links = [ 1; 2; 3; 4; 6; 8; 10 ];
   }
 
-let time_best_of ?(repeats = 3) f =
-  let rec go best n =
-    if n = 0 then best
-    else begin
-      let t0 = Unix.gettimeofday () in
-      ignore (Sys.opaque_identity (f ()));
-      let dt = Unix.gettimeofday () -. t0 in
-      go (Float.min best dt) (n - 1)
-    end
-  in
-  go infinity repeats
-
 let parallel_bench () =
-  let module J = Storage_report.Json in
-  let module Search = Storage_optimize.Search in
-  let module Engine = Storage_optimize.Engine in
   (* Record engine statistics throughout, so the benchmark artifact keeps
      the cache hit rates, per-stage evaluate timings and per-domain task
      counts behind each wall-clock number. *)
   Storage_obs.enable ();
   let candidates =
-    List.of_seq
-      (Storage_optimize.Candidate.enumerate parallel_kit parallel_space)
+    List.of_seq (Storage_optimize.Candidate.enumerate kit parallel_space)
   in
   let scenarios = Baseline.scenarios in
   let n = List.length candidates in
@@ -432,16 +537,16 @@ let parallel_bench () =
     n (List.length scenarios) cores;
   (* 1. One sweep of the whole space, serial vs 2/4/8 domains. Each run
      gets a fresh engine so nothing is cached across measurements. *)
-  let search ~jobs cs =
+  let sweep ~jobs cs =
     Engine.with_engine ~jobs (fun engine ->
         Search.run ~engine (List.to_seq cs) scenarios)
   in
-  let serial_s = time_best_of (fun () -> search ~jobs:1 candidates) in
+  let serial_s = time_best_of (fun () -> sweep ~jobs:1 candidates) in
   Printf.printf "  search, serial:          %8.1f ms\n" (serial_s *. 1e3);
   let by_jobs =
     List.map
       (fun jobs ->
-        let t = time_best_of (fun () -> search ~jobs candidates) in
+        let t = time_best_of (fun () -> sweep ~jobs candidates) in
         (* Honesty marker: a speedup measured with more domains than the
            machine recommends says nothing about scaling — the domains
            time-share the cores. *)
@@ -460,7 +565,7 @@ let parallel_bench () =
      hardware, its slot cache shared) re-evaluates only what is new. *)
   let extra =
     List.of_seq
-      (Storage_optimize.Candidate.enumerate parallel_kit
+      (Storage_optimize.Candidate.enumerate kit
          { parallel_space with
            Storage_optimize.Candidate.pit_techniques = [];
            mirror_links = [ 12; 16; 20; 24 ] })
@@ -504,49 +609,44 @@ let parallel_bench () =
     engine_jobs (session_engine *. 1e3)
     (session_serial /. session_engine)
     (Eval_cache.hits cache) (Eval_cache.misses cache);
-  let json =
-    J.Obj
-      [
-        ("mode", J.String "parallel");
-        ("cores", J.Int cores);
-        ("recommended_domain_count", J.Int cores);
-        ("candidates", J.Int n);
-        ("scenarios", J.Int (List.length scenarios));
-        ( "single_sweep",
-          J.Obj
-            [
-              ("serial_seconds", J.Float serial_s);
-              ( "by_jobs",
-                J.List
-                  (List.map
-                     (fun (jobs, t, undersubscribed) ->
-                       J.Obj
-                         [
-                           ("jobs", J.Int jobs);
-                           ("seconds", J.Float t);
-                           ("speedup", J.Float (serial_s /. t));
-                           ("undersubscribed", J.Bool undersubscribed);
-                         ])
-                     by_jobs) );
-            ] );
-        ( "whatif_session",
-          J.Obj
-            [
-              ("passes", J.Int (List.length passes));
-              ("engine_jobs", J.Int engine_jobs);
-              ("serial_uncached_seconds", J.Float session_serial);
-              ("engine_cached_seconds", J.Float session_engine);
-              ("speedup", J.Float (session_serial /. session_engine));
-              ("cache_hits", J.Int (Eval_cache.hits cache));
-              ("cache_misses", J.Int (Eval_cache.misses cache));
-            ] );
-        ("stats", Storage_obs.snapshot ());
-      ]
-  in
-  Out_channel.with_open_text "BENCH_parallel.json" (fun oc ->
-      output_string oc (J.to_string_pretty json);
-      output_char oc '\n');
-  print_endline "  wrote BENCH_parallel.json"
+  write_bench_json "BENCH_parallel.json"
+    (J.Obj
+       [
+         ("mode", J.String "parallel");
+         ("cores", J.Int cores);
+         ("recommended_domain_count", J.Int cores);
+         ("candidates", J.Int n);
+         ("scenarios", J.Int (List.length scenarios));
+         ( "single_sweep",
+           J.Obj
+             [
+               ("serial_seconds", J.Float serial_s);
+               ( "by_jobs",
+                 J.List
+                   (List.map
+                      (fun (jobs, t, undersubscribed) ->
+                        J.Obj
+                          [
+                            ("jobs", J.Int jobs);
+                            ("seconds", J.Float t);
+                            ("speedup", J.Float (serial_s /. t));
+                            ("undersubscribed", J.Bool undersubscribed);
+                          ])
+                      by_jobs) );
+             ] );
+         ( "whatif_session",
+           J.Obj
+             [
+               ("passes", J.Int (List.length passes));
+               ("engine_jobs", J.Int engine_jobs);
+               ("serial_uncached_seconds", J.Float session_serial);
+               ("engine_cached_seconds", J.Float session_engine);
+               ("speedup", J.Float (session_serial /. session_engine));
+               ("cache_hits", J.Int (Eval_cache.hits cache));
+               ("cache_misses", J.Int (Eval_cache.misses cache));
+             ] );
+         ("stats", Storage_obs.snapshot ());
+       ])
 
 (* --- streaming-pipeline benchmark --- *)
 
@@ -554,24 +654,10 @@ let parallel_bench () =
    candidates evaluated through [Search.run ~top_k] must peak within 2x
    of a ~10^3-candidate run (working set = one pool window + the slim
    frontier + k survivors + the bounded cache, not the grid), while the
-   materialized path retains every summary.
-
-   Peak is measured as the maximum of [Gc.stat().live_words] right
-   after a forced major collection, sampled every 1024 candidates as
-   the grid streams by (plus once after each run with the result still
-   live, which is what exposes the materialized path's O(grid)
-   retention). [Gc.top_heap_words] would be the obvious candidate but
-   is useless here: it is monotonic over the process lifetime and, on
-   OCaml 5.1, tracks the allocator's sawtooth high-water mark — the
-   runtime has no heap compaction, so the number reflects allocation
-   churn and fragmentation, not the working set. *)
+   materialized path retains every summary. Peak is [peak_live_words]. *)
 let stream_bench () =
-  let module J = Storage_report.Json in
-  let module Search = Storage_optimize.Search in
-  let module Engine = Storage_optimize.Engine in
-  let scenarios = [ Baseline.scenario_array; Baseline.scenario_site ] in
   let grid scale =
-    Storage_optimize.Candidate.enumerate parallel_kit
+    Storage_optimize.Candidate.enumerate kit
       (Storage_optimize.Candidate.scaled_space ~scale)
   in
   (* Smallest scale clearing 10^5 candidates after validity filtering. *)
@@ -584,45 +670,18 @@ let stream_bench () =
   let n_small = Seq.length small and n_large = Seq.length large in
   Printf.printf
     "Streaming pipeline benchmark: %d vs %d candidates x %d scenarios\n"
-    n_small n_large (List.length scenarios);
-  let peak = ref 0 in
-  let sample () =
-    Gc.full_major ();
-    let live = (Gc.stat ()).Gc.live_words in
-    if live > !peak then peak := live
-  in
-  let monitored cs =
-    Seq.mapi (fun i d -> if i mod 1024 = 0 then sample (); d) cs
-  in
+    n_small n_large (List.length array_and_site);
   let measure name f =
-    peak := 0;
-    sample ();
-    let t0 = Unix.gettimeofday () in
-    let result = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    (* [result] is still live across this sample, so a materialized run
-       pays for everything it retained. *)
-    sample ();
+    let result, dt, peak = peak_live_words f in
     Printf.printf "  %-42s %8.1f ms   peak live %7d kwords\n" name (dt *. 1e3)
-      (!peak / 1000);
-    (result, dt, !peak)
+      (peak / 1000);
+    (result, dt, peak)
   in
-  let stream ~jobs cs =
-    let engine = Engine.create ~jobs ~cache_bound:512 () in
-    Fun.protect
-      ~finally:(fun () -> Engine.shutdown engine)
-      (fun () -> Search.run ~engine ~top_k:10 (monitored cs) scenarios)
+  let stream ~jobs cs monitored =
+    search ~cache:true ~jobs (monitored cs) array_and_site
   in
-  (* Headline throughput: serial, cache off (a one-shot sweep over an
-     all-distinct grid cannot hit the cache, so fingerprinting and memo
-     bookkeeping are pure overhead there), and unmonitored — the
-     [Gc.full_major] sampling above costs more than the evaluations. *)
   let t_throughput =
-    time_best_of ~repeats:2 (fun () ->
-        let engine = Engine.create ~cache:false () in
-        Fun.protect
-          ~finally:(fun () -> Engine.shutdown engine)
-          (fun () -> Search.run ~engine ~top_k:10 large scenarios))
+    search_seconds ~repeats:2 ~jobs:1 (fun () -> large) array_and_site
   in
   let throughput = float_of_int n_large /. t_throughput in
   Printf.printf
@@ -631,22 +690,24 @@ let stream_bench () =
     n_large (t_throughput *. 1e3) throughput;
   let r_small, t_small, peak_small =
     measure (Printf.sprintf "streaming, %d candidates, serial" n_small)
-      (fun () -> stream ~jobs:1 small)
+      (stream ~jobs:1 small)
   in
-  let r_large, t_large, peak_large =
+  let _, t_large, peak_large =
     measure (Printf.sprintf "streaming, %d candidates, serial" n_large)
-      (fun () -> stream ~jobs:1 large)
+      (stream ~jobs:1 large)
   in
-  let r_large4, t_large4, peak_large4 =
+  let _, t_large4, peak_large4 =
     measure (Printf.sprintf "streaming, %d candidates, 4 domains" n_large)
-      (fun () -> stream ~jobs:4 large)
+      (stream ~jobs:4 large)
   in
   (* The materialized oracle on the small grid: byte-identical frontier
      and best, O(grid) retention. (Running it over the large grid would
      materialize every summary — the cost the streaming path removes.) *)
   let r_mat, t_mat, peak_mat =
     measure (Printf.sprintf "materialized, %d candidates, serial" n_small)
-      (fun () -> Search.run_materialized (List.of_seq small) scenarios)
+      (fun _ ->
+        Storage_testkit.Reference.run_materialized (List.of_seq small)
+          array_and_site)
   in
   let bytes x = Marshal.to_string x [ Marshal.No_sharing ] in
   let identical =
@@ -664,8 +725,6 @@ let stream_bench () =
   Printf.printf "  4-domain large-grid wall-clock ratio: %.2fx%s\n"
     (t_large /. t_large4)
     (if 4 > cores then "  [more domains than cores]" else "");
-  ignore r_large;
-  ignore r_large4;
   let run name candidates jobs seconds peak =
     J.Obj
       [
@@ -677,37 +736,32 @@ let stream_bench () =
         ("undersubscribed", J.Bool (jobs > cores));
       ]
   in
-  let json =
-    J.Obj
-      [
-        ("mode", J.String "stream");
-        ("scenarios", J.Int (List.length scenarios));
-        ("large_scale", J.Int large_scale);
-        ("recommended_domain_count", J.Int cores);
-        ( "serial_throughput",
-          J.Obj
-            [
-              ("candidates", J.Int n_large);
-              ("seconds", J.Float t_throughput);
-              ("candidates_per_sec", J.Float throughput);
-              ("cache", J.Bool false);
-            ] );
-        ( "runs",
-          J.List
-            [
-              run "streaming_small_serial" n_small 1 t_small peak_small;
-              run "streaming_large_serial" n_large 1 t_large peak_large;
-              run "streaming_large_4domains" n_large 4 t_large4 peak_large4;
-              run "materialized_small_serial" n_small 1 t_mat peak_mat;
-            ] );
-        ("frontier_best_identical_to_materialized", J.Bool identical);
-        ("large_peak_within_2x_of_small", J.Bool within_2x);
-      ]
-  in
-  Out_channel.with_open_text "BENCH_stream.json" (fun oc ->
-      output_string oc (J.to_string_pretty json);
-      output_char oc '\n');
-  print_endline "  wrote BENCH_stream.json";
+  write_bench_json "BENCH_stream.json"
+    (J.Obj
+       [
+         ("mode", J.String "stream");
+         ("scenarios", J.Int (List.length array_and_site));
+         ("large_scale", J.Int large_scale);
+         ("recommended_domain_count", J.Int cores);
+         ( "serial_throughput",
+           J.Obj
+             [
+               ("candidates", J.Int n_large);
+               ("seconds", J.Float t_throughput);
+               ("candidates_per_sec", J.Float throughput);
+               ("cache", J.Bool false);
+             ] );
+         ( "runs",
+           J.List
+             [
+               run "streaming_small_serial" n_small 1 t_small peak_small;
+               run "streaming_large_serial" n_large 1 t_large peak_large;
+               run "streaming_large_4domains" n_large 4 t_large4 peak_large4;
+               run "materialized_small_serial" n_small 1 t_mat peak_mat;
+             ] );
+         ("frontier_best_identical_to_materialized", J.Bool identical);
+         ("large_peak_within_2x_of_small", J.Bool within_2x);
+       ]);
   if not (identical && within_2x) then exit 1
 
 (* --- fleet Monte Carlo benchmark --- *)
@@ -728,8 +782,6 @@ let fleet_designs =
   ]
 
 let fleet_bench () =
-  let module J = Storage_report.Json in
-  let module Fleet = Storage_fleet.Fleet in
   let config = Fleet.config ~trials:1000 ~horizon_years:5. () in
   let cores = Storage_parallel.Pool.default_jobs () in
   Printf.printf
@@ -742,16 +794,8 @@ let fleet_bench () =
   let runs =
     List.map
       (fun (name, d) ->
-        let run ~jobs () =
-          Storage_engine.with_engine ~jobs (fun engine ->
-              Fleet.run ~engine ~config d)
-        in
-        let t0 = Unix.gettimeofday () in
-        let serial = run ~jobs:1 () in
-        let t_serial = Unix.gettimeofday () -. t0 in
-        let t1 = Unix.gettimeofday () in
-        let par = run ~jobs:4 () in
-        let t_par = Unix.gettimeofday () -. t1 in
+        let serial, t_serial = fleet_run ~repeats:1 ~jobs:1 ~config d in
+        let par, t_par = fleet_run ~repeats:1 ~jobs:4 ~config d in
         let identical =
           String.equal
             (J.to_string (Fleet.to_json serial))
@@ -777,132 +821,86 @@ let fleet_bench () =
           ])
       fleet_designs
   in
-  let json =
-    J.Obj
-      [
-        ("mode", J.String "fleet");
-        ("trials", J.Int config.Fleet.trials);
-        ("horizon_years", J.Float (Duration.to_years config.Fleet.horizon));
-        ("seed", J.String (Int64.to_string config.Fleet.seed));
-        ("cores", J.Int cores);
-        ("runs", J.List runs);
-      ]
-  in
-  Out_channel.with_open_text "BENCH_fleet.json" (fun oc ->
-      output_string oc (J.to_string_pretty json);
-      output_char oc '\n');
-  print_endline "  wrote BENCH_fleet.json";
+  write_bench_json "BENCH_fleet.json"
+    (J.Obj
+       [
+         ("mode", J.String "fleet");
+         ("trials", J.Int config.Fleet.trials);
+         ("horizon_years", J.Float (Duration.to_years config.Fleet.horizon));
+         ("seed", J.String (Int64.to_string config.Fleet.seed));
+         ("cores", J.Int cores);
+         ("runs", J.List runs);
+       ]);
   if not !ok then exit 1
 
 (* --- metaheuristic solver benchmark --- *)
 
 (* [bench/main.exe solver [smoke]]: run grid search and annealing over
    the tier grid and report how much of the exhaustive sweep annealing
-   needed to land on the same optimum. The headline number — the annealing
-   budget is capped at [solver_budget_fraction] of the candidates the
-   grid evaluated, and the run must still reach the grid optimum — is
-   the measurement behind the solver-vs-grid gate of [--check]. Writes
-   BENCH_solver.json; exits 1 if anneal misses the optimum. *)
+   needed to land on the same optimum — [solver_parity] at up to 4
+   domains, the measurement behind the solver-vs-grid gate of [--check].
+   Writes BENCH_solver.json; exits 1 if anneal misses the optimum. *)
 let solver_bench ~smoke () =
-  let module J = Storage_report.Json in
-  let module Engine = Storage_optimize.Engine in
-  let module Solver = Storage_optimize.Solver in
-  let module Objective = Storage_optimize.Objective in
   let b = if smoke then Baselines.smoke else Baselines.full in
-  let space =
-    Storage_optimize.Candidate.scaled_space ~scale:b.Baselines.grid_scale
+  let points =
+    Storage_optimize.Candidate.point_count
+      (Storage_optimize.Candidate.scaled_space ~scale:b.Baselines.grid_scale)
   in
-  let points = Storage_optimize.Candidate.point_count space in
-  let scenarios = [ Baseline.scenario_array; Baseline.scenario_site ] in
   let jobs = Int.min 4 (Storage_parallel.Pool.default_jobs ()) in
   Printf.printf
     "Solver benchmark, %s tier: %d grid points x %d scenarios, seed 0x%Lx, \
      %d job(s)\n"
-    b.Baselines.name points (List.length scenarios) b.Baselines.solver_seed
+    b.Baselines.name points (List.length array_and_site) b.Baselines.solver_seed
     jobs;
-  let engine = Engine.create ~jobs ~cache:false () in
-  Fun.protect
-    ~finally:(fun () -> Engine.shutdown engine)
-    (fun () ->
-      let timed method_ ?budget () =
-        let t0 = Unix.gettimeofday () in
-        let r =
-          Solver.run ~engine ?budget ~seed:b.Baselines.solver_seed ~method_
-            parallel_kit space scenarios
-        in
-        (r, Unix.gettimeofday () -. t0)
-      in
-      let grid, t_grid = timed Solver.Grid () in
-      let grid_evals = grid.Solver.stats.Solver.evaluations in
-      let budget =
-        Int.max 1
-          (int_of_float
-             (b.Baselines.solver_budget_fraction *. float_of_int grid_evals))
-      in
-      let anneal, t_anneal = timed Solver.Anneal ~budget () in
-      let total (r : Solver.result) =
-        Option.map
-          (fun (s : Objective.summary) -> s.Objective.worst_total_cost)
-          r.Solver.best
-      in
-      let matches r =
-        Option.compare Money.compare (total r) (total grid) = 0
-      in
-      let ok = ref true in
-      let row name (r : Solver.result) seconds =
-        let evals = r.Solver.stats.Solver.evaluations in
-        let fraction = float_of_int evals /. float_of_int grid_evals in
-        let matched = matches r in
-        if not matched then ok := false;
-        Printf.printf
-          "  %-7s best %s  %7d evaluations (%5.1f%% of grid)  %7.2f s%s\n"
-          name
-          (match r.Solver.best with
-          | None -> "-- none feasible --"
-          | Some s ->
-            Fmt.str "%-32s %a"
-              s.Objective.design.Design.name
-              Money.pp s.Objective.worst_total_cost)
-          evals (100. *. fraction) seconds
-          (if matched then "" else "  MISSED-OPTIMUM!");
-        J.Obj
-          [
-            ("method", J.String (Solver.method_name r.Solver.method_));
-            ("budget", J.Int r.Solver.budget);
-            ("evaluations", J.Int evals);
-            ("fraction_of_grid", J.Float fraction);
-            ("seconds", J.Float seconds);
-            ("matched_grid", J.Bool matched);
-            ( "best_total_usd",
-              match total r with
-              | None -> J.Null
-              | Some m -> J.Float (Money.to_usd m) );
-          ]
-      in
-      let row_grid = row "grid" grid t_grid in
-      let row_anneal = row "anneal" anneal t_anneal in
-      let rows = [ row_grid; row_anneal ] in
-      let json =
-        J.Obj
-          [
-            ("mode", J.String "solver");
-            ("tier", J.String b.Baselines.name);
-            ("grid_scale", J.Int b.Baselines.grid_scale);
-            ("grid_points", J.Int points);
-            ("grid_evaluations", J.Int grid_evals);
-            ("seed", J.String (Printf.sprintf "0x%Lx" b.Baselines.solver_seed));
-            ( "budget_fraction",
-              J.Float b.Baselines.solver_budget_fraction );
-            ("anneal_budget", J.Int budget);
-            ("jobs", J.Int jobs);
-            ("methods", J.List rows);
-          ]
-      in
-      Out_channel.with_open_text "BENCH_solver.json" (fun oc ->
-          output_string oc (J.to_string_pretty json);
-          output_char oc '\n');
-      print_endline "  wrote BENCH_solver.json";
-      if not !ok then exit 1)
+  let p = solver_parity ~jobs b array_and_site in
+  let ok = ref true in
+  let row name (r : Solver.result) seconds =
+    let evals = r.Solver.stats.Solver.evaluations in
+    let fraction = fraction_of_grid p r in
+    let matched = matches_grid p r in
+    if not matched then ok := false;
+    Printf.printf
+      "  %-7s best %s  %7d evaluations (%5.1f%% of grid)  %7.2f s%s\n"
+      name
+      (match r.Solver.best with
+      | None -> "-- none feasible --"
+      | Some s ->
+        Fmt.str "%-32s %a"
+          s.Storage_optimize.Objective.design.Design.name
+          Money.pp s.Storage_optimize.Objective.worst_total_cost)
+      evals (100. *. fraction) seconds
+      (if matched then "" else "  MISSED-OPTIMUM!");
+    J.Obj
+      [
+        ("method", J.String (Solver.method_name r.Solver.method_));
+        ("budget", J.Int r.Solver.budget);
+        ("evaluations", J.Int evals);
+        ("fraction_of_grid", J.Float fraction);
+        ("seconds", J.Float seconds);
+        ("matched_grid", J.Bool matched);
+        ( "best_total_usd",
+          match best_total r with
+          | None -> J.Null
+          | Some m -> J.Float (Money.to_usd m) );
+      ]
+  in
+  let row_grid = row "grid" p.grid p.grid_seconds in
+  let row_anneal = row "anneal" p.anneal p.anneal_seconds in
+  write_bench_json "BENCH_solver.json"
+    (J.Obj
+       [
+         ("mode", J.String "solver");
+         ("tier", J.String b.Baselines.name);
+         ("grid_scale", J.Int b.Baselines.grid_scale);
+         ("grid_points", J.Int points);
+         ("grid_evaluations", J.Int p.grid.Solver.stats.Solver.evaluations);
+         ("seed", J.String (Printf.sprintf "0x%Lx" b.Baselines.solver_seed));
+         ("budget_fraction", J.Float b.Baselines.solver_budget_fraction);
+         ("anneal_budget", J.Int p.anneal_budget);
+         ("jobs", J.Int jobs);
+         ("methods", J.List [ row_grid; row_anneal ]);
+       ]);
+  if not !ok then exit 1
 
 (* --- evaluation-service load generator --- *)
 
@@ -1038,33 +1036,28 @@ let cold_single_shot ~ssdep_bin () =
       time_best_of ~repeats:3 (fun () ->
           if Sys.command cmd <> 0 then
             failwith ("cold single-shot failed: " ^ cmd)))
-
-let start_serve_daemon () =
+let with_serve_daemon f =
   let module Server = Storage_serve.Server in
-  let engine = Storage_optimize.Engine.create ~stats:true () in
+  let engine = Engine.create ~stats:true () in
   let server =
-    Server.start
-      ~config:{ Server.default_config with Server.port = 0 }
-      engine
+    Server.start ~config:{ Server.default_config with Server.port = 0 } engine
   in
-  (engine, server)
-
-let serve_bench () =
-  let module J = Storage_report.Json in
-  let module Server = Storage_serve.Server in
-  let engine, server = start_serve_daemon () in
   Fun.protect
     ~finally:(fun () ->
       Server.stop server;
-      Storage_optimize.Engine.shutdown engine)
-  @@ fun () ->
-  let port = Server.port server in
+      Engine.shutdown engine)
+    (fun () -> f (Server.port server))
+
+let serve_bench () =
   let clients = 4 and per_client = 100 in
-  Printf.printf
-    "Evaluation-service load: %d clients x %d requests to /evaluate \
-     (port %d)\n"
-    clients per_client port;
-  let load = serve_load ~port ~clients ~per_client in
+  let load =
+    with_serve_daemon @@ fun port ->
+    Printf.printf
+      "Evaluation-service load: %d clients x %d requests to /evaluate \
+       (port %d)\n"
+      clients per_client port;
+    serve_load ~port ~clients ~per_client
+  in
   Printf.printf
     "  warm p50 %8.2f ms   p99 %8.2f ms   %8.1f req/s   %d failure(s)\n"
     (load.p50 *. 1e3) (load.p99 *. 1e3) load.throughput load.failures;
@@ -1083,30 +1076,25 @@ let serve_bench () =
         (t *. 1e3) (t /. load.p50);
       Some t
   in
-  let json =
-    J.Obj
-      ([
-         ("mode", J.String "serve");
-         ("clients", J.Int load.clients);
-         ("requests_per_client", J.Int load.per_client);
-         ("warm_p50_seconds", J.Float load.p50);
-         ("warm_p99_seconds", J.Float load.p99);
-         ("throughput_rps", J.Float load.throughput);
-         ("failures", J.Int load.failures);
-       ]
-      @ (match cold with
-        | None -> [ ("cold_single_shot", J.String "skipped") ]
-        | Some t ->
-          [
-            ("cold_single_shot_seconds", J.Float t);
-            ("warm_speedup", J.Float (t /. load.p50));
-          ])
-      @ [ ("stats", Storage_obs.snapshot ()) ])
-  in
-  Out_channel.with_open_text "BENCH_serve.json" (fun oc ->
-      output_string oc (J.to_string_pretty json);
-      output_char oc '\n');
-  print_endline "  wrote BENCH_serve.json";
+  write_bench_json "BENCH_serve.json"
+    (J.Obj
+       ([
+          ("mode", J.String "serve");
+          ("clients", J.Int load.clients);
+          ("requests_per_client", J.Int load.per_client);
+          ("warm_p50_seconds", J.Float load.p50);
+          ("warm_p99_seconds", J.Float load.p99);
+          ("throughput_rps", J.Float load.throughput);
+          ("failures", J.Int load.failures);
+        ]
+       @ (match cold with
+         | None -> [ ("cold_single_shot", J.String "skipped") ]
+         | Some t ->
+           [
+             ("cold_single_shot_seconds", J.Float t);
+             ("warm_speedup", J.Float (t /. load.p50));
+           ])
+       @ [ ("stats", Storage_obs.snapshot ()) ]));
   if load.failures > 0 then exit 1
 
 (* --- perf-regression gate --- *)
@@ -1118,27 +1106,17 @@ let serve_bench () =
    1 on any failure. The smoke tier runs under `dune runtest` on every
    build; the full tier is the nightly CI gate. *)
 let check_bench ~smoke () =
-  let module J = Storage_report.Json in
-  let module Search = Storage_optimize.Search in
-  let module Engine = Storage_optimize.Engine in
   let b = if smoke then Baselines.smoke else Baselines.full in
   let cores = Storage_parallel.Pool.default_jobs () in
-  let scenarios = [ Baseline.scenario_array; Baseline.scenario_site ] in
   let grid () =
-    Storage_optimize.Candidate.enumerate parallel_kit
+    Storage_optimize.Candidate.enumerate kit
       (Storage_optimize.Candidate.scaled_space ~scale:b.Baselines.grid_scale)
   in
   let n = Seq.length (grid ()) in
   Printf.printf
     "Perf-regression check, %s tier: %d candidates x %d scenarios, %d \
      core(s)\n"
-    b.Baselines.name n (List.length scenarios) cores;
-  let search ~cache ~jobs cs =
-    let engine = Engine.create ~jobs ~cache ~cache_bound:512 () in
-    Fun.protect
-      ~finally:(fun () -> Engine.shutdown engine)
-      (fun () -> Search.run ~engine ~top_k:10 cs scenarios)
-  in
+    b.Baselines.name n (List.length array_and_site) cores;
   let gates = ref [] in
   let gate name ~measured ~threshold ~ok ~unit_ =
     Printf.printf "CHECK %-17s %-4s measured %12.1f %s (threshold %.1f)\n"
@@ -1169,13 +1147,12 @@ let check_bench ~smoke () =
       :: !gates;
     true
   in
-  (* Gate 1 — serial streaming throughput, cache off: the configuration a
-     one-shot sweep over an all-distinct grid runs in, so regressions in
+  (* Gate 1 — serial streaming throughput, cache off: regressions in
      enumeration, the evaluation stages or the search loop itself all
      land here. *)
   let t_serial =
-    time_best_of ~repeats:(if smoke then 3 else 2) (fun () ->
-        search ~cache:false ~jobs:1 (grid ()))
+    search_seconds ~repeats:(if smoke then 3 else 2) ~jobs:1 grid
+      array_and_site
   in
   let cps = float_of_int n /. t_serial in
   let ok_throughput =
@@ -1193,8 +1170,8 @@ let check_bench ~smoke () =
         (Printf.sprintf "%d core(s) < %d jobs" cores b.Baselines.jobs)
     else begin
       let t_par =
-        time_best_of ~repeats:(if smoke then 3 else 2) (fun () ->
-            search ~cache:false ~jobs:b.Baselines.jobs (grid ()))
+        search_seconds ~repeats:(if smoke then 3 else 2) ~jobs:b.Baselines.jobs
+          grid array_and_site
       in
       let speedup = t_serial /. t_par in
       gate "parallel-speedup" ~measured:speedup
@@ -1207,24 +1184,15 @@ let check_bench ~smoke () =
      the O(window + frontier + cache bound) memory contract. An O(grid)
      leak — materializing summaries, an unbounded memo — blows through
      the ceiling by an order of magnitude. *)
-  let peak = ref 0 in
-  let sample () =
-    Gc.full_major ();
-    let live = (Gc.stat ()).Gc.live_words in
-    if live > !peak then peak := live
-  in
-  let monitored cs =
-    Seq.mapi (fun i d -> if i mod 1024 = 0 then sample (); d) cs
-  in
-  sample ();
-  let r = search ~cache:true ~jobs:1 (monitored (grid ())) in
-  sample ();
-  ignore (Sys.opaque_identity r);
   let ok_peak =
+    let _, _, peak =
+      peak_live_words (fun monitored ->
+          search ~cache:true ~jobs:1 (monitored (grid ())) array_and_site)
+    in
     gate "peak-live-words"
-      ~measured:(float_of_int !peak)
+      ~measured:(float_of_int peak)
       ~threshold:(float_of_int b.Baselines.max_peak_live_words)
-      ~ok:(!peak <= b.Baselines.max_peak_live_words)
+      ~ok:(peak <= b.Baselines.max_peak_live_words)
       ~unit_:"words"
   in
   (* Gate 4 — fleet Monte Carlo throughput: serial trials/s of the
@@ -1232,15 +1200,11 @@ let check_bench ~smoke () =
      single-event reduction or the event-driven simulator's hot loop
      (e.g. a reintroduced sub-ulp advance stall) land here. *)
   let ok_fleet =
-    let fleet_config =
-      Storage_fleet.Fleet.config ~trials:b.Baselines.fleet_trials
-        ~horizon_years:5. ()
-    in
-    let t_fleet =
-      time_best_of ~repeats:(if smoke then 2 else 3) (fun () ->
-          Storage_engine.with_engine ~jobs:1 (fun engine ->
-              Storage_fleet.Fleet.run ~engine ~config:fleet_config
-                Baseline.design))
+    let _, t_fleet =
+      fleet_run ~repeats:(if smoke then 2 else 3) ~jobs:1
+        ~config:
+          (Fleet.config ~trials:b.Baselines.fleet_trials ~horizon_years:5. ())
+        Baseline.design
     in
     let tps = float_of_int b.Baselines.fleet_trials /. t_fleet in
     gate "fleet-trials-per-sec" ~measured:tps
@@ -1248,51 +1212,19 @@ let check_bench ~smoke () =
       ~ok:(tps >= b.Baselines.min_fleet_trials_per_sec)
       ~unit_:"trials/s"
   in
-  (* Gate 5 — solver-vs-grid parity: annealing, budgeted at
-     [solver_budget_fraction] of the candidates the exhaustive grid
-     evaluated, must land on the grid optimum exactly. The measured
-     value is the share of the grid the solver actually evaluated; the
-     gate fails either by missing the optimum or by burning more than
-     the committed fraction. Deterministic (pinned seed), so a failure
-     here is a solver regression, not noise. *)
+  (* Gate 5 — solver-vs-grid parity, serial: annealing must land on the
+     grid optimum exactly. The measured value is the share of the grid the
+     solver actually evaluated; the gate fails either by missing the
+     optimum or by burning more than the committed fraction. Deterministic
+     (pinned seed), so a failure here is a solver regression, not
+     noise. *)
   let ok_solver =
-    let module Solver = Storage_optimize.Solver in
-    let module Objective = Storage_optimize.Objective in
-    let space =
-      Storage_optimize.Candidate.scaled_space ~scale:b.Baselines.grid_scale
-    in
-    let engine = Engine.create ~jobs:1 ~cache:false () in
-    Fun.protect
-      ~finally:(fun () -> Engine.shutdown engine)
-      (fun () ->
-        let solve method_ ?budget () =
-          Solver.run ~engine ?budget ~seed:b.Baselines.solver_seed ~method_
-            parallel_kit space scenarios
-        in
-        let grid = solve Solver.Grid () in
-        let grid_evals = grid.Solver.stats.Solver.evaluations in
-        let budget =
-          Int.max 1
-            (int_of_float
-               (b.Baselines.solver_budget_fraction
-               *. float_of_int grid_evals))
-        in
-        let anneal = solve Solver.Anneal ~budget () in
-        let total (r : Solver.result) =
-          Option.map
-            (fun (s : Objective.summary) -> s.Objective.worst_total_cost)
-            r.Solver.best
-        in
-        let parity = Option.compare Money.compare (total anneal) (total grid) = 0 in
-        let fraction =
-          100.
-          *. float_of_int anneal.Solver.stats.Solver.evaluations
-          /. float_of_int grid_evals
-        in
-        let threshold = 100. *. b.Baselines.solver_budget_fraction in
-        gate "solver-vs-grid" ~measured:fraction ~threshold
-          ~ok:(parity && fraction <= threshold)
-          ~unit_:"% of grid")
+    let p = solver_parity ~jobs:1 b array_and_site in
+    let fraction = 100. *. fraction_of_grid p p.anneal in
+    let threshold = 100. *. b.Baselines.solver_budget_fraction in
+    gate "solver-vs-grid" ~measured:fraction ~threshold
+      ~ok:(matches_grid p p.anneal && fraction <= threshold)
+      ~unit_:"% of grid"
   in
   (* Gate 6 — the daemon's reason to exist: warm-cache /evaluate p50
      must beat the cold single-shot CLI wall time by the committed
@@ -1303,17 +1235,9 @@ let check_bench ~smoke () =
     match Sys.getenv_opt "SSDEP_BIN" with
     | None -> skip "serve-warm-speedup" "SSDEP_BIN not set"
     | Some ssdep_bin ->
-      let engine, server = start_serve_daemon () in
       let load =
-        Fun.protect
-          ~finally:(fun () ->
-            Storage_serve.Server.stop server;
-            Engine.shutdown engine)
-          (fun () ->
-            serve_load
-              ~port:(Storage_serve.Server.port server)
-              ~clients:4
-              ~per_client:(if smoke then 25 else 100))
+        with_serve_daemon (fun port ->
+            serve_load ~port ~clients:4 ~per_client:(if smoke then 25 else 100))
       in
       let cold = cold_single_shot ~ssdep_bin () in
       let speedup = cold /. load.p50 in
@@ -1330,24 +1254,19 @@ let check_bench ~smoke () =
   let pass =
     ok_throughput && ok_speedup && ok_peak && ok_fleet && ok_solver && ok_serve
   in
-  let json =
-    J.Obj
-      [
-        ("mode", J.String "check");
-        ("tier", J.String b.Baselines.name);
-        ("grid_scale", J.Int b.Baselines.grid_scale);
-        ("candidates", J.Int n);
-        ("scenarios", J.Int (List.length scenarios));
-        ("recommended_domain_count", J.Int cores);
-        ("gates", J.List (List.rev !gates));
-        ("pass", J.Bool pass);
-      ]
-  in
-  Out_channel.with_open_text "BENCH_check.json" (fun oc ->
-      output_string oc (J.to_string_pretty json);
-      output_char oc '\n');
-  Printf.printf "  wrote BENCH_check.json\nCHECK result: %s\n"
-    (if pass then "pass" else "FAIL");
+  write_bench_json "BENCH_check.json"
+    (J.Obj
+       [
+         ("mode", J.String "check");
+         ("tier", J.String b.Baselines.name);
+         ("grid_scale", J.Int b.Baselines.grid_scale);
+         ("candidates", J.Int n);
+         ("scenarios", J.Int (List.length array_and_site));
+         ("recommended_domain_count", J.Int cores);
+         ("gates", J.List (List.rev !gates));
+         ("pass", J.Bool pass);
+       ]);
+  Printf.printf "CHECK result: %s\n" (if pass then "pass" else "FAIL");
   if not pass then exit 1
 
 (* --- micro-benchmarks --- *)
@@ -1377,10 +1296,7 @@ let micro_tests =
     Test.make ~name:"table7: evaluate 7 designs x 2 scenarios"
       (Staged.stage (fun () ->
            List.iter
-             (fun (_, d) ->
-               ignore
-                 (Evaluate.run_all d
-                    [ Baseline.scenario_array; Baseline.scenario_site ]))
+             (fun (_, d) -> ignore (Evaluate.run_all d array_and_site))
              Whatif.all));
     Test.make ~name:"figure3: RP ranges (baseline)"
       (Staged.stage (fun () ->

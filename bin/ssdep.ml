@@ -11,17 +11,43 @@ open Storage_device
 open Storage_model
 open Storage_presets
 
+module Spec = Storage_spec.Spec
+
+let ( let* ) = Result.bind
+
+let rec map_result f = function
+  | [] -> Ok []
+  | x :: rest ->
+    let* y = f x in
+    let* ys = map_result f rest in
+    Ok (y :: ys)
+
+(* --- designs and scenarios --- *)
+
 let designs = Whatif.all
 
-let design_names = List.map fst designs
-
-let find_design name =
-  match List.assoc_opt name designs with
+let find_design ?(presets = designs) name =
+  match List.assoc_opt name presets with
   | Some d -> Ok d
   | None ->
     Error
       (Printf.sprintf "unknown design %S; available: %s" name
-         (String.concat ", " design_names))
+         (String.concat ", " (List.map fst presets)))
+
+(* The three baseline failure scenarios, named: what a preset design is
+   linted and reported under. *)
+let baseline_scenarios =
+  [
+    ("user error", Baseline.scenario_object);
+    ("array failure", Baseline.scenario_array);
+    ("site disaster", Baseline.scenario_site);
+  ]
+
+(* [baseline_scenarios] weighted by incidents per year, in that order. *)
+let risk_weights frequencies =
+  List.map2
+    (fun (_, scenario) frequency_per_year -> { Risk.scenario; frequency_per_year })
+    baseline_scenarios frequencies
 
 let scenario_of_scope ~target_age scope_name =
   let target_age = Duration.hours target_age in
@@ -39,12 +65,63 @@ let scenario_of_scope ~target_age scope_name =
   | other ->
     Error (Printf.sprintf "unknown scope %S (object|array|site)" other)
 
+(* --- exit codes and output --- *)
+
+(* Claim a documented exit code directly, flushing what was printed,
+   rather than going through cmdliner's error path. *)
+let exit_with code =
+  Format.pp_print_flush Format.std_formatter ();
+  Stdlib.exit code
+
+(* Configuration problems (malformed environment, unreadable input
+   files) exit 2 — the same code `ssdep lint` uses for errors and `ssdep
+   fuzz` for bad usage — not cmdliner's 124 reserved for command-line
+   parse errors. *)
+let config_error msg =
+  Fmt.epr "ssdep: %s@." msg;
+  exit_with 2
+
+(* --json prints [to_json v] as pretty JSON; otherwise [text v] prints
+   the textual rendering. *)
+let emit ~json to_json text v =
+  if json then print_endline (Storage_report.Json.to_string_pretty (to_json v))
+  else text v
+
+let write_file ~what path contents =
+  match Out_channel.with_open_text path (fun oc -> output_string oc contents) with
+  | () ->
+    Fmt.pr "%s written to %s@." what path;
+    Ok ()
+  | exception Sys_error m -> Error m
+
+(* Every design file is read and parsed once, through [Spec.load], so
+   every subcommand agrees on what a valid file is: a missing or
+   unreadable path is a configuration error (exit 2, message names the
+   file), a file that reads but does not parse — a malformed [scenario]
+   section included — is an ordinary command error (cmdliner's error
+   path). *)
+let load ?validate path =
+  match Spec.load ?validate path with
+  | Ok loaded -> Ok loaded
+  | Error (Spec.Unreadable m) -> config_error m
+  | Error (Spec.Invalid m) -> Error m
+
+(* A command's design and named scenarios: from the design file when one
+   is given, else from the command's own preset fallback. *)
+let design_source ?validate ~preset = function
+  | Some path -> load ?validate path
+  | None -> preset ()
+
+let preset ?(scenarios = []) name () =
+  Result.map (fun d -> (d, scenarios)) (find_design name)
+
 (* --- common options --- *)
 
-let design_arg =
+let design_arg ?(presets = designs) () =
   let doc =
     Printf.sprintf "Design to evaluate. One of: %s."
-      (String.concat ", " (List.map (Printf.sprintf "$(b,%s)") design_names))
+      (String.concat ", "
+         (List.map (fun (n, _) -> Printf.sprintf "$(b,%s)" n) presets))
   in
   Arg.(value & opt string "baseline" & info [ "d"; "design" ] ~docv:"NAME" ~doc)
 
@@ -59,31 +136,15 @@ let target_age_arg =
   in
   Arg.(value & opt float 0. & info [ "target-age" ] ~docv:"HOURS" ~doc)
 
-(* Configuration problems (malformed environment, unreadable input
-   files) claim the documented exit code 2 directly — the same code
-   `ssdep lint` uses for errors and `ssdep fuzz` for bad usage — rather
-   than going through cmdliner's 124 reserved for command-line parse
-   errors. *)
-let config_error msg =
-  Fmt.epr "ssdep: %s@." msg;
-  Format.pp_print_flush Format.std_formatter ();
-  Stdlib.exit 2
-
-(* Design files are loaded through one helper so every subcommand agrees:
-   a missing or unreadable path is a configuration error (exit 2, message
-   names the file), a file that reads but does not parse is an ordinary
-   command error (cmdliner's error path). *)
-let load_design ?validate path =
-  match Storage_spec.Spec.load_design_file ?validate path with
-  | Ok d -> Ok d
-  | Error (Storage_spec.Spec.Unreadable m) -> config_error m
-  | Error (Storage_spec.Spec.Invalid m) -> Error m
-
-let load_scenarios path =
-  match Storage_spec.Spec.load_scenarios_file path with
-  | Ok s -> Ok s
-  | Error (Storage_spec.Spec.Unreadable m) -> config_error m
-  | Error (Storage_spec.Spec.Invalid m) -> Error m
+(* Seeds are 64-bit, given in decimal or 0x-hex and shown in hex. *)
+let seed_conv =
+  let parse s =
+    match Int64.of_string_opt s with
+    | Some n -> Ok n
+    | None ->
+      Error (`Msg (Printf.sprintf "invalid seed %S, expected an integer" s))
+  in
+  Arg.conv (parse, fun ppf n -> Fmt.pf ppf "0x%Lx" n)
 
 (* --jobs and SSDEP_JOBS share Engine.parse_jobs, so the flag and the
    environment variable accept exactly the same language; the variable
@@ -154,40 +215,31 @@ let with_stats stats stats_json body =
   let wanted = stats || stats_json <> None in
   if wanted then Storage_obs.enable ();
   let result = body () in
-  (match result with
+  match result with
   | Ok () when wanted -> (
     if stats then Fmt.pr "@.%s@." (Fmt.str "%a" Storage_obs.pp_table ());
     match stats_json with
     | None -> Ok ()
-    | Some path -> (
-      match
-        Out_channel.with_open_text path (fun oc ->
-            output_string oc
-              (Storage_report.Json.to_string_pretty (Storage_obs.snapshot ()));
-            output_char oc '\n')
-      with
-      | () ->
-        Fmt.pr "stats written to %s@." path;
-        Ok ()
-      | exception Sys_error m -> Error m))
-  | other -> other)
+    | Some path ->
+      write_file ~what:"stats" path
+        (Storage_report.Json.to_string_pretty (Storage_obs.snapshot ()) ^ "\n"))
+  | other -> other
 
 (* One construction point for the execution engine: --jobs (or
    SSDEP_JOBS) and --stats flow through [Engine.of_cli], and the command
    body receives a ready engine that is shut down on the way out. A
    malformed SSDEP_JOBS surfaces here as a configuration error. *)
-let with_engine ?chunk ~jobs ~stats ~stats_json body =
-  with_stats stats stats_json @@ fun () ->
-  match
-    Storage_optimize.Engine.of_cli ?chunk ~jobs
-      ~stats:(stats || stats_json <> None)
-      ()
-  with
+let run_engine ?chunk ~jobs ~stats body =
+  match Storage_optimize.Engine.of_cli ?chunk ~jobs ~stats () with
   | Error msg -> config_error msg
   | Ok engine ->
     Fun.protect
       ~finally:(fun () -> Storage_optimize.Engine.shutdown engine)
       (fun () -> body engine)
+
+let with_engine ?chunk ~jobs ~stats ~stats_json body =
+  with_stats stats stats_json @@ fun () ->
+  run_engine ?chunk ~jobs ~stats:(stats || stats_json <> None) body
 
 (* --- tables --- *)
 
@@ -254,62 +306,40 @@ let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc)
 
 let evaluate_cmd =
-  let print_reports json d named =
-    if json then
-      print_endline
-        (Storage_report.Json.to_string_pretty (Json_output.reports named))
-    else begin
-      print_advisories d;
-      List.iter
-        (fun (name, r) ->
-          Fmt.pr "--- scenario %s ---@.%a@.@." name Evaluate.pp r)
-        named
-    end
-  in
   let run design file scope target_age json stats stats_json =
     with_stats stats stats_json @@ fun () ->
-    match file with
-    | Some path -> (
-      match load_design path with
-      | Error e -> Error e
-      | Ok d -> (
-        match load_scenarios path with
-        | Error e -> Error e
-        | Ok [] -> (
-          match scenario_of_scope ~target_age scope with
-          | Error e ->
-            Error
-              (e ^ " (the file defines no [scenario] sections to use instead)")
-          | Ok scenario ->
-            print_reports json d [ (scope, Evaluate.run d scenario) ];
-            Ok ())
-        | Ok scenarios ->
-          print_reports json d
-            (List.map
-               (fun (name, scenario) -> (name, Evaluate.run d scenario))
-               scenarios);
-          Ok ()))
-    | None -> (
-      match find_design design with
-      | Error e -> Error e
-      | Ok d -> (
+    let* d, named = design_source ~preset:(preset design) file in
+    let* named =
+      if named <> [] then Ok named
+      else
         match scenario_of_scope ~target_age scope with
-        | Error e -> Error e
-        | Ok scenario ->
-          let report = Evaluate.run d scenario in
-          if json then
-            print_endline
-              (Storage_report.Json.to_string_pretty
-                 (Json_output.report report))
-          else begin
-            print_advisories d;
-            Fmt.pr "%a@." Evaluate.pp report
-          end;
-          Ok ()))
+        | Ok scenario -> Ok [ (scope, scenario) ]
+        | Error e when file = None -> Error e
+        | Error e ->
+          Error (e ^ " (the file defines no [scenario] sections to use instead)")
+    in
+    let reports =
+      List.map (fun (name, scenario) -> (name, Evaluate.run d scenario)) named
+    in
+    let text print v =
+      print_advisories d;
+      print v
+    in
+    (* A preset prints its one report bare; a file's reports are named. *)
+    (match reports with
+    | [ (_, report) ] when file = None ->
+      emit ~json Json_output.report (text (Fmt.pr "%a@." Evaluate.pp)) report
+    | _ ->
+      emit ~json Json_output.reports
+        (text
+           (List.iter (fun (name, r) ->
+                Fmt.pr "--- scenario %s ---@.%a@.@." name Evaluate.pp r)))
+        reports);
+    Ok ()
   in
   let term =
     Term.(
-      const run $ design_arg $ file_arg $ scope_arg $ target_age_arg
+      const run $ design_arg () $ file_arg $ scope_arg $ target_age_arg
       $ json_arg $ stats_arg $ stats_json_arg)
   in
   let info =
@@ -328,21 +358,14 @@ let check_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
   in
   let run path =
-    match load_design path with
-    | Error e -> Error e
-    | Ok d ->
-      Fmt.pr "%a@.@." Design.pp d;
-      Fmt.pr "%a@." Utilization.pp (Utilization.compute d);
-      let warnings =
-        Storage_hierarchy.Hierarchy.warnings d.Design.hierarchy
-      in
-      List.iter (Fmt.pr "warning: %s@.") warnings;
-      (match Storage_spec.Spec.scenarios_of_file path with
-      | Ok scenarios ->
-        List.iter (fun (name, _) -> Fmt.pr "scenario: %s@." name) scenarios
-      | Error _ -> ());
-      Fmt.pr "design OK@.";
-      Ok ()
+    let* d, scenarios = load path in
+    Fmt.pr "%a@.@." Design.pp d;
+    Fmt.pr "%a@." Utilization.pp (Utilization.compute d);
+    let warnings = Storage_hierarchy.Hierarchy.warnings d.Design.hierarchy in
+    List.iter (Fmt.pr "warning: %s@.") warnings;
+    List.iter (fun (name, _) -> Fmt.pr "scenario: %s@." name) scenarios;
+    Fmt.pr "design OK@.";
+    Ok ()
   in
   let info =
     Cmd.info "check"
@@ -366,43 +389,27 @@ let lint_cmd =
     Arg.(value & flag & info [ "deny-warnings" ] ~doc)
   in
   let run target json deny_warnings =
-    let loaded =
+    let file =
       if Sys.file_exists target && not (Sys.is_directory target) then
-        match load_design ~validate:false target with
-        | Error e -> Error e
-        | Ok d -> (
-          match load_scenarios target with
-          | Error e -> Error e
-          | Ok scenarios -> Ok (d, scenarios))
-      else
-        match find_design target with
-        | Error e -> config_error (e ^ " (and no such file)")
-        | Ok d ->
-          Ok
-            ( d,
-              [
-                ("user error", Baseline.scenario_object);
-                ("array failure", Baseline.scenario_array);
-                ("site disaster", Baseline.scenario_site);
-              ] )
+        Some target
+      else None
     in
-    match loaded with
-    | Error e -> Error e
-    | Ok (d, scenarios) ->
-      let found = Storage_lint.check ~scenarios d in
-      if json then
-        print_endline
-          (Storage_report.Json.to_string_pretty
-             (Storage_lint.to_json ~design:d.Design.name found))
-      else Fmt.pr "%a@." Storage_lint.pp found;
-      (match Storage_lint.exit_code ~deny_warnings found with
-      | 0 -> Ok ()
-      | code ->
-        (* Findings are a reportable outcome, not a CLI failure: claim the
-           documented exit codes (1 = warnings denied, 2 = errors) directly
-           rather than going through cmdliner's error path. *)
-        Format.pp_print_flush Format.std_formatter ();
-        Stdlib.exit code)
+    let preset () =
+      match find_design target with
+      | Error e -> config_error (e ^ " (and no such file)")
+      | Ok d -> Ok (d, baseline_scenarios)
+    in
+    let* d, scenarios = design_source ~validate:false ~preset file in
+    let found = Storage_lint.check ~scenarios d in
+    emit ~json
+      (Storage_lint.to_json ~design:d.Design.name)
+      (Fmt.pr "%a@." Storage_lint.pp)
+      found;
+    (* Findings are a reportable outcome, not a CLI failure: they claim
+       the documented exit codes (1 = warnings denied, 2 = errors). *)
+    match Storage_lint.exit_code ~deny_warnings found with
+    | 0 -> Ok ()
+    | code -> exit_with code
   in
   let term = Term.(const run $ target $ json_arg $ deny_warnings) in
   let info =
@@ -470,70 +477,64 @@ let simulate_cmd =
   let run design scope target_age warmup sweep outage trace chunk jobs stats
       stats_json =
     with_engine ?chunk ~jobs ~stats ~stats_json @@ fun engine ->
-    match find_design design with
-    | Error e -> Error e
-    | Ok d -> (
-      match scenario_of_scope ~target_age scope with
-      | Error e -> Error e
-      | Ok scenario ->
-      match parse_outage outage with
-      | Error e -> Error e
-      | Ok outage ->
-        let config =
-          { Storage_sim.Sim.warmup = Duration.days warmup; log = false;
-            outage; record_events = trace > 0 }
-        in
-        let show tag (m : Storage_sim.Sim.measured) =
-          Fmt.pr "%s: source=%a measured DL=%a measured RT=%a@." tag
-            Fmt.(option ~none:(any "none") int)
-            m.Storage_sim.Sim.source_level Data_loss.pp_loss
-            m.Storage_sim.Sim.data_loss
-            Fmt.(option ~none:(any "n/a") Duration.pp)
-            m.Storage_sim.Sim.recovery_time
-        in
-        let m = Storage_sim.Sim.run ~config d scenario in
-        show "simulated" m;
-        (if trace > 0 then begin
-           let events = m.Storage_sim.Sim.timeline in
-           let skip = max 0 (List.length events - trace) in
-           List.iteri
-             (fun i (t, msg) ->
-               if i >= skip then
-                 Fmt.pr "  t=%a %s@." Duration.pp t msg)
-             events
-         end);
-        let model = Evaluate.run d scenario in
-        Fmt.pr "model:     worst-case DL=%a RT=%a@." Data_loss.pp_loss
-          model.Evaluate.data_loss.Data_loss.loss Duration.pp
-          model.Evaluate.recovery_time;
-        (match outage with
-        | Some (level, duration) ->
-          let degraded =
-            Degraded.evaluate d ~disabled_level:level ~outage:duration
-              scenario
-          in
-          Fmt.pr "degraded:  worst-case DL=%a (level %d down %a)@."
-            Data_loss.pp_loss degraded.Degraded.data_loss.Data_loss.loss level
-            Duration.pp duration
-        | None -> ());
-        if sweep > 0 then begin
-          let offsets =
-            List.init sweep (fun i ->
-                Duration.hours (float_of_int (i + 1) *. 168. /. float_of_int sweep))
-          in
-          let runs =
-            Storage_sim.Sim.sweep_failure_phase ~engine ~config d scenario
-              ~offsets
-          in
-          List.iteri
-            (fun i m -> show (Printf.sprintf "sweep %2d" (i + 1)) m)
-            runs
-        end;
-        Ok ())
+    let* d = find_design design in
+    let* scenario = scenario_of_scope ~target_age scope in
+    let* outage = parse_outage outage in
+    let config =
+      { Storage_sim.Sim.warmup = Duration.days warmup; log = false;
+        outage; record_events = trace > 0 }
+    in
+    let show tag (m : Storage_sim.Sim.measured) =
+      Fmt.pr "%s: source=%a measured DL=%a measured RT=%a@." tag
+        Fmt.(option ~none:(any "none") int)
+        m.Storage_sim.Sim.source_level Data_loss.pp_loss
+        m.Storage_sim.Sim.data_loss
+        Fmt.(option ~none:(any "n/a") Duration.pp)
+        m.Storage_sim.Sim.recovery_time
+    in
+    let m = Storage_sim.Sim.run ~config d scenario in
+    show "simulated" m;
+    (if trace > 0 then begin
+       let events = m.Storage_sim.Sim.timeline in
+       let skip = max 0 (List.length events - trace) in
+       List.iteri
+         (fun i (t, msg) ->
+           if i >= skip then
+             Fmt.pr "  t=%a %s@." Duration.pp t msg)
+         events
+     end);
+    let model = Evaluate.run d scenario in
+    Fmt.pr "model:     worst-case DL=%a RT=%a@." Data_loss.pp_loss
+      model.Evaluate.data_loss.Data_loss.loss Duration.pp
+      model.Evaluate.recovery_time;
+    (match outage with
+    | Some (level, duration) ->
+      let degraded =
+        Degraded.evaluate d ~disabled_level:level ~outage:duration
+          scenario
+      in
+      Fmt.pr "degraded:  worst-case DL=%a (level %d down %a)@."
+        Data_loss.pp_loss degraded.Degraded.data_loss.Data_loss.loss level
+        Duration.pp duration
+    | None -> ());
+    if sweep > 0 then begin
+      let offsets =
+        List.init sweep (fun i ->
+            Duration.hours (float_of_int (i + 1) *. 168. /. float_of_int sweep))
+      in
+      let runs =
+        Storage_sim.Sim.sweep_failure_phase ~engine ~config d scenario
+          ~offsets
+      in
+      List.iteri
+        (fun i m -> show (Printf.sprintf "sweep %2d" (i + 1)) m)
+        runs
+    end;
+    Ok ()
   in
   let term =
     Term.(
-      const run $ design_arg $ scope_arg $ target_age_arg $ warmup $ sweep
+      const run $ design_arg () $ scope_arg $ target_age_arg $ warmup $ sweep
       $ outage $ trace $ chunk_arg $ jobs_arg $ stats_arg $ stats_json_arg)
   in
   let info =
@@ -610,20 +611,11 @@ let optimize_cmd =
   in
   let seed_arg =
     let doc =
-      "Solver seed (decimal or 0x-hex; default: the engine's session \
-       seed). A fixed seed reproduces the report byte-for-byte whatever \
-       $(b,--jobs) is."
+      "Solver seed (decimal or 0x-hex; default: a fixed seed, \
+       0xca5cade). A fixed seed reproduces the report byte-for-byte \
+       whatever $(b,--jobs) is."
     in
-    let solver_seed_conv =
-      let parse s =
-        match Int64.of_string_opt s with
-        | Some n -> Ok n
-        | None ->
-          Error (`Msg (Printf.sprintf "invalid seed %S, expected an integer" s))
-      in
-      Arg.conv (parse, fun ppf n -> Fmt.pf ppf "0x%Lx" n)
-    in
-    Arg.(value & opt (some solver_seed_conv) None & info [ "seed" ] ~docv:"SEED" ~doc)
+    Arg.(value & opt (some seed_conv) None & info [ "seed" ] ~docv:"SEED" ~doc)
   in
   let portfolio_arg =
     let doc =
@@ -668,26 +660,18 @@ let optimize_cmd =
               of %d; raise the budget or lower --grid-scale"
              n bound)
       | None ->
-        let result =
-          Solver.run ~engine ?budget ?seed ?top_k ~method_:solver kit space
-            scenarios
-        in
-        if json then
-          print_endline
-            (Storage_report.Json.to_string_pretty (Solver.to_json result))
-        else Fmt.pr "%a@." Solver.pp result;
+        emit ~json Solver.to_json (Fmt.pr "%a@." Solver.pp)
+          (Solver.run ~engine ?budget ?seed ?top_k ~method_:solver kit space
+             scenarios);
         Ok ()
     end
     else begin
-      let ( let* ) = Result.bind in
       let* members =
-        List.fold_left
-          (fun acc path ->
-            let* acc = acc in
-            let* d = load_design path in
-            Ok (Solver.member_of_design d :: acc))
-          (Ok []) portfolio
-        |> Result.map List.rev
+        map_result
+          (fun path ->
+            let* d, _ = load path in
+            Ok (Solver.member_of_design d))
+          portfolio
       in
       let labels = List.map (fun m -> m.Solver.label) members in
       if
@@ -695,15 +679,10 @@ let optimize_cmd =
         <> List.length (List.sort_uniq String.compare labels)
       then Error "--portfolio members must have distinct design names"
       else begin
-        let result =
-          Solver.solve_portfolio ~engine ?budget ?seed ~method_:solver ~kit
-            ~space ~members scenarios
-        in
-        if json then
-          print_endline
-            (Storage_report.Json.to_string_pretty
-               (Solver.portfolio_to_json result))
-        else Fmt.pr "%a@." Solver.pp_portfolio result;
+        emit ~json Solver.portfolio_to_json
+          (Fmt.pr "%a@." Solver.pp_portfolio)
+          (Solver.solve_portfolio ~engine ?budget ?seed ~method_:solver ~kit
+             ~space ~members scenarios);
         Ok ()
       end
     end
@@ -827,31 +806,20 @@ let risk_cmd =
     Arg.(value & opt (some float) None & info [ "monte-carlo" ] ~docv:"YEARS" ~doc)
   in
   let run design object_freq array_freq site_freq horizon =
-    match find_design design with
-    | Error e -> Error e
-    | Ok d ->
-      let weighted =
-        [
-          { Risk.scenario = Baseline.scenario_object;
-            frequency_per_year = object_freq };
-          { Risk.scenario = Baseline.scenario_array;
-            frequency_per_year = array_freq };
-          { Risk.scenario = Baseline.scenario_site;
-            frequency_per_year = site_freq };
-        ]
-      in
-      Fmt.pr "%a@." Risk.pp (Risk.assess d weighted);
-      (match horizon with
-      | Some years when years > 0. ->
-        Fmt.pr "%a@." Risk.pp_distribution
-          (Risk.monte_carlo d weighted ~horizon_years:years)
-      | Some _ -> ()
-      | None -> ());
-      Ok ()
+    let* d = find_design design in
+    let weighted = risk_weights [ object_freq; array_freq; site_freq ] in
+    Fmt.pr "%a@." Risk.pp (Risk.assess d weighted);
+    (match horizon with
+    | Some years when years > 0. ->
+      Fmt.pr "%a@." Risk.pp_distribution
+        (Risk.monte_carlo d weighted ~horizon_years:years)
+    | Some _ -> ()
+    | None -> ());
+    Ok ()
   in
   let term =
     Term.(
-      const run $ design_arg $ object_freq $ array_freq $ site_freq $ horizon)
+      const run $ design_arg () $ object_freq $ array_freq $ site_freq $ horizon)
   in
   let info =
     Cmd.info "risk"
@@ -869,15 +837,6 @@ let fleet_cmd =
     designs
     @ [ ("erasure", Whatif.erasure_coded ~fragments:9 ~required:6 ~links:10) ]
   in
-  let design_arg =
-    let doc =
-      Printf.sprintf "Design to evaluate. One of: %s."
-        (String.concat ", "
-           (List.map (fun (n, _) -> Printf.sprintf "$(b,%s)" n) fleet_designs))
-    in
-    Arg.(
-      value & opt string "baseline" & info [ "d"; "design" ] ~docv:"NAME" ~doc)
-  in
   let trials_arg =
     let doc = "Monte-Carlo trials (independent sampled failure traces)." in
     Arg.(value & opt positive_int_conv 1000 & info [ "trials" ] ~docv:"N" ~doc)
@@ -891,15 +850,6 @@ let fleet_cmd =
       "Master seed (decimal or 0x-hex). Every trial's trace derives from \
        it through one splitmix64 stream, so a fixed seed reproduces the \
        report byte-for-byte whatever $(b,--jobs) is."
-    in
-    let seed_conv =
-      let parse s =
-        match Int64.of_string_opt s with
-        | Some n -> Ok n
-        | None ->
-          Error (`Msg (Printf.sprintf "invalid seed %S, expected an integer" s))
-      in
-      Arg.conv (parse, fun ppf n -> Fmt.pf ppf "0x%Lx" n)
     in
     Arg.(value & opt seed_conv 0xCA5CADEL & info [ "seed" ] ~docv:"SEED" ~doc)
   in
@@ -934,16 +884,12 @@ let fleet_cmd =
         | _ -> Error (Printf.sprintf "invalid pair %S, expected m:n with 1 <= m <= n" p))
       | _ -> Error (Printf.sprintf "invalid pair %S, expected m:n" p)
     in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | p :: rest -> ( match pair p with Ok x -> go (x :: acc) rest | Error e -> Error e)
-    in
-    go [] (String.split_on_char ',' s)
+    map_result pair (String.split_on_char ',' s)
   in
   let run design trials horizon seed afr building site sweep json jobs chunk
       stats stats_json =
     with_engine ?chunk ~jobs ~stats ~stats_json @@ fun engine ->
-    match
+    let* config =
       try
         Ok
           (Fleet.config ~trials ~horizon_years:horizon ~seed
@@ -952,47 +898,29 @@ let fleet_cmd =
                   ~site_burst_per_year:site ())
              ())
       with Invalid_argument m -> Error m
-    with
-    | Error e -> Error e
-    | Ok config -> (
-      match sweep with
-      | Some pairs -> (
-        match parse_sweep pairs with
-        | Error e -> Error e
-        | Ok pairs ->
-          let results =
-            Fleet.erasure_sweep ~engine ~config
-              ~make:(fun ~fragments ~required ->
-                Whatif.erasure_coded ~fragments ~required ~links:10)
-              pairs
-          in
-          if json then
-            print_endline
-              (Storage_report.Json.to_string_pretty
-                 (Storage_report.Json.List
-                    (List.map (fun (_, _, r) -> Fleet.to_json r) results)))
-          else
-            List.iter
-              (fun (_, _, r) -> Fmt.pr "%a@.@." Fleet.pp r)
-              results;
-          Ok ())
-      | None -> (
-        match List.assoc_opt design fleet_designs with
-        | None ->
-          Error
-            (Printf.sprintf "unknown design %S; available: %s" design
-               (String.concat ", " (List.map fst fleet_designs)))
-        | Some d ->
-          let report = Fleet.run ~engine ~config d in
-          if json then
-            print_endline
-              (Storage_report.Json.to_string_pretty (Fleet.to_json report))
-          else Fmt.pr "%a@." Fleet.pp report;
-          Ok ()))
+    in
+    match sweep with
+    | Some pairs ->
+      let* pairs = parse_sweep pairs in
+      emit ~json
+        (fun results ->
+          Storage_report.Json.List
+            (List.map (fun (_, _, r) -> Fleet.to_json r) results))
+        (List.iter (fun (_, _, r) -> Fmt.pr "%a@.@." Fleet.pp r))
+        (Fleet.erasure_sweep ~engine ~config
+           ~make:(fun ~fragments ~required ->
+             Whatif.erasure_coded ~fragments ~required ~links:10)
+           pairs);
+      Ok ()
+    | None ->
+      let* d = find_design ~presets:fleet_designs design in
+      emit ~json Fleet.to_json (Fmt.pr "%a@." Fleet.pp)
+        (Fleet.run ~engine ~config d);
+      Ok ()
   in
   let term =
     Term.(
-      const run $ design_arg $ trials_arg $ horizon_arg $ seed_arg $ afr_arg
+      const run $ design_arg ~presets:fleet_designs () $ trials_arg $ horizon_arg $ seed_arg $ afr_arg
       $ building_arg $ site_arg $ sweep_arg $ json_arg $ jobs_arg $ chunk_arg
       $ stats_arg $ stats_json_arg)
   in
@@ -1018,21 +946,17 @@ let degraded_cmd =
     Arg.(value & opt float 168. & info [ "outage" ] ~docv:"HOURS" ~doc)
   in
   let run design scope target_age level outage =
-    match find_design design with
-    | Error e -> Error e
-    | Ok d -> (
-      match scenario_of_scope ~target_age scope with
-      | Error e -> Error e
-      | Ok scenario ->
-        (try
-           Fmt.pr "%a@." Degraded.pp
-             (Degraded.evaluate d ~disabled_level:level
-                ~outage:(Duration.hours outage) scenario);
-           Ok ()
-         with Invalid_argument m -> Error m))
+    let* d = find_design design in
+    let* scenario = scenario_of_scope ~target_age scope in
+    try
+      Fmt.pr "%a@." Degraded.pp
+        (Degraded.evaluate d ~disabled_level:level
+           ~outage:(Duration.hours outage) scenario);
+      Ok ()
+    with Invalid_argument m -> Error m
   in
   let term =
-    Term.(const run $ design_arg $ scope_arg $ target_age_arg $ level $ outage)
+    Term.(const run $ design_arg () $ scope_arg $ target_age_arg $ level $ outage)
   in
   let info =
     Cmd.info "degraded"
@@ -1057,60 +981,24 @@ let report_cmd =
     Arg.(value & flag & info [ "risk" ] ~doc)
   in
   let run design file out with_risk =
-    let design_and_scenarios =
-      match file with
-      | Some path -> (
-        match load_design path with
-        | Error e -> Error e
-        | Ok d -> (
-          match load_scenarios path with
-          | Error e -> Error e
-          | Ok [] ->
-            Error "the design file defines no [scenario] sections to report on"
-          | Ok scenarios -> Ok (d, scenarios)))
-      | None -> (
-        match find_design design with
-        | Error e -> Error e
-        | Ok d ->
-          Ok
-            ( d,
-              [
-                ("user error", Baseline.scenario_object);
-                ("array failure", Baseline.scenario_array);
-                ("site disaster", Baseline.scenario_site);
-              ] ))
+    let* d, scenarios =
+      design_source ~preset:(preset ~scenarios:baseline_scenarios design) file
     in
-    match design_and_scenarios with
-    | Error e -> Error e
-    | Ok (d, scenarios) -> (
+    if scenarios = [] then
+      Error "the design file defines no [scenario] sections to report on"
+    else begin
       let risk =
-        if with_risk then
-          Some
-            [
-              { Risk.scenario = Baseline.scenario_object;
-                frequency_per_year = 12. };
-              { Risk.scenario = Baseline.scenario_array;
-                frequency_per_year = 0.2 };
-              { Risk.scenario = Baseline.scenario_site;
-                frequency_per_year = 0.01 };
-            ]
-        else None
+        if with_risk then Some (risk_weights [ 12.; 0.2; 0.01 ]) else None
       in
       let doc = Summary_report.markdown ?risk d scenarios in
       match out with
       | None ->
         print_string doc;
         Ok ()
-      | Some path -> (
-        match
-          Out_channel.with_open_text path (fun oc -> output_string oc doc)
-        with
-        | () ->
-          Fmt.pr "report written to %s@." path;
-          Ok ()
-        | exception Sys_error m -> Error m))
+      | Some path -> write_file ~what:"report" path doc
+    end
   in
-  let term = Term.(const run $ design_arg $ file_arg $ out $ with_risk) in
+  let term = Term.(const run $ design_arg () $ file_arg $ out $ with_risk) in
   let info =
     Cmd.info "report"
       ~doc:
@@ -1123,22 +1011,13 @@ let report_cmd =
 
 let explain_cmd =
   let run design file scope target_age =
-    let design_result =
-      match file with
-      | Some path -> load_design path
-      | None -> find_design design
-    in
-    match design_result with
-    | Error e -> Error e
-    | Ok d -> (
-      match scenario_of_scope ~target_age scope with
-      | Error e -> Error e
-      | Ok scenario ->
-        print_string (Explain.narrative d scenario);
-        Ok ())
+    let* d, _ = design_source ~preset:(preset design) file in
+    let* scenario = scenario_of_scope ~target_age scope in
+    print_string (Explain.narrative d scenario);
+    Ok ()
   in
   let term =
-    Term.(const run $ design_arg $ file_arg $ scope_arg $ target_age_arg)
+    Term.(const run $ design_arg () $ file_arg $ scope_arg $ target_age_arg)
   in
   let info =
     Cmd.info "explain"
@@ -1157,47 +1036,36 @@ let portfolio_cmd =
     Arg.(non_empty & pos_all string [] & info [] ~docv:"FILE" ~doc)
   in
   let run paths =
-    let rec load acc = function
-      | [] -> Ok (List.rev acc)
-      | path :: rest -> (
-        match load_design path with
-        | Error e -> Error (path ^ ": " ^ e)
-        | Ok d -> load ((path, d) :: acc) rest)
+    let* loaded =
+      map_result
+        (fun path -> Result.map_error (fun e -> path ^ ": " ^ e) (load path))
+        paths
     in
-    match load [] paths with
-    | Error e -> Error e
-    | Ok designs -> (
-      match Portfolio.make (List.map snd designs) with
-      | Error e -> Error e
-      | Ok portfolio ->
-        Fmt.pr "%a@.@." Portfolio.pp portfolio;
-        (match Portfolio.overcommitted portfolio with
-        | [] -> Fmt.pr "consolidation fits on the shared hardware@."
-        | over ->
-          List.iter
-            (fun ((d : Storage_device.Device.t), u) ->
-              Fmt.pr "OVERCOMMITTED: %s (%a)@." d.Storage_device.Device.name
-                Storage_device.Device.pp_utilization u)
-            over);
-        (* Evaluate each member under its own file's scenarios, with the
-           neighbours' load applied. *)
+    let* portfolio = Portfolio.make (List.map fst loaded) in
+    Fmt.pr "%a@.@." Portfolio.pp portfolio;
+    (match Portfolio.overcommitted portfolio with
+    | [] -> Fmt.pr "consolidation fits on the shared hardware@."
+    | over ->
+      List.iter
+        (fun ((d : Storage_device.Device.t), u) ->
+          Fmt.pr "OVERCOMMITTED: %s (%a)@." d.Storage_device.Device.name
+            Storage_device.Device.pp_utilization u)
+        over);
+    (* Evaluate each member under its own file's scenarios, with the
+       neighbours' load applied. *)
+    List.iter
+      (fun ((original : Design.t), scenarios) ->
+        let member =
+          Option.get (Portfolio.member portfolio original.Design.name)
+        in
         List.iter
-          (fun (path, (original : Design.t)) ->
-            match Storage_spec.Spec.scenarios_of_file path with
-            | Error _ | Ok [] -> ()
-            | Ok scenarios ->
-              let member =
-                Option.get
-                  (Portfolio.member portfolio original.Design.name)
-              in
-              List.iter
-                (fun (name, scenario) ->
-                  let r = Evaluate.run member scenario in
-                  Fmt.pr "%s / %s: %a@." original.Design.name name
-                    Evaluate.pp_summary r)
-                scenarios)
-          designs;
-        Ok ())
+          (fun (name, scenario) ->
+            let r = Evaluate.run member scenario in
+            Fmt.pr "%s / %s: %a@." original.Design.name name
+              Evaluate.pp_summary r)
+          scenarios)
+      loaded;
+    Ok ()
   in
   let term = Term.(const run $ files) in
   let info =
@@ -1217,15 +1085,6 @@ let fuzz_cmd =
       "Session seed (decimal or 0x-hex). Per-case seeds derive from it \
        through one splitmix64 stream, so the same seed and budget \
        reproduce the same cases, findings and shrunk counterexamples."
-    in
-    let seed_conv =
-      let parse s =
-        match Int64.of_string_opt s with
-        | Some n -> Ok n
-        | None ->
-          Error (`Msg (Printf.sprintf "invalid seed %S, expected an integer" s))
-      in
-      Arg.conv (parse, fun ppf n -> Fmt.pf ppf "0x%Lx" n)
     in
     Arg.(value & opt seed_conv 2004L & info [ "seed" ] ~docv:"SEED" ~doc)
   in
@@ -1271,10 +1130,6 @@ let fuzz_cmd =
     match f.K.Fuzz.file with
     | Some path -> Fmt.pr "  corpus: %s@." path
     | None -> ()
-  in
-  let exit_with code =
-    Format.pp_print_flush Format.std_formatter ();
-    Stdlib.exit code
   in
   let usage msg =
     (* Configuration problems claim the documented exit code 2 directly,
@@ -1395,48 +1250,43 @@ let serve_cmd =
       config_error "serve: --timeout must be a positive number of seconds";
     (* The daemon's /stats endpoint is its observability story, so the
        engine always records ([Server.start] turns the registry on). *)
-    match Storage_optimize.Engine.of_cli ?chunk ~jobs ~stats:true () with
-    | Error msg -> config_error msg
-    | Ok engine ->
-      Fun.protect
-        ~finally:(fun () -> Storage_optimize.Engine.shutdown engine)
-      @@ fun () ->
-      let config =
-        {
-          Server.port;
-          workers;
-          queue_capacity = queue;
-          shards;
-          max_body;
-          timeout;
-        }
-      in
-      let server =
-        try Server.start ~config engine with
-        | Invalid_argument msg -> config_error msg
-        | Unix.Unix_error (err, _, _) ->
-          config_error
-            (Printf.sprintf "serve: cannot listen on port %d: %s" port
-               (Unix.error_message err))
-      in
-      (* Scripts (CI smoke, the bench load generator) parse this line to
-         learn the bound port; keep it first and flushed. *)
-      Fmt.pr "listening on http://127.0.0.1:%d@." (Server.port server);
-      Format.pp_print_flush Format.std_formatter ();
-      let stop_requested = Atomic.make false in
-      let request_stop _ = Atomic.set stop_requested true in
-      Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
-      Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
-      while not (Atomic.get stop_requested) do
-        try Unix.sleepf 0.2
-        with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      done;
-      (* Graceful drain: stop accepting, answer everything already
-         admitted, join the domains, then let [Fun.protect] shut the
-         engine down. *)
-      Server.stop server;
-      Fmt.pr "drained, shutting down@.";
-      Ok ()
+    run_engine ?chunk ~jobs ~stats:true @@ fun engine ->
+    let config =
+      {
+        Server.port;
+        workers;
+        queue_capacity = queue;
+        shards;
+        max_body;
+        timeout;
+      }
+    in
+    let server =
+      try Server.start ~config engine with
+      | Invalid_argument msg -> config_error msg
+      | Unix.Unix_error (err, _, _) ->
+        config_error
+          (Printf.sprintf "serve: cannot listen on port %d: %s" port
+             (Unix.error_message err))
+    in
+    (* Scripts (CI smoke, the bench load generator) parse this line to
+       learn the bound port; keep it first and flushed. *)
+    Fmt.pr "listening on http://127.0.0.1:%d@." (Server.port server);
+    Format.pp_print_flush Format.std_formatter ();
+    let stop_requested = Atomic.make false in
+    let request_stop _ = Atomic.set stop_requested true in
+    Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
+    Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
+    while not (Atomic.get stop_requested) do
+      try Unix.sleepf 0.2
+      with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    done;
+    (* Graceful drain: stop accepting, answer everything already
+       admitted, join the domains, then let [Fun.protect] shut the
+       engine down. *)
+    Server.stop server;
+    Fmt.pr "drained, shutting down@.";
+    Ok ()
   in
   let term =
     Term.(

@@ -31,7 +31,6 @@ let new_key (type a) () : a key =
 
 type t = {
   jobs : int;
-  seed : int64;
   stats : bool;
   cache : bool;
   cache_bound : int option;
@@ -41,12 +40,8 @@ type t = {
   slots : (int, binding) Hashtbl.t;
 }
 
-(* Same fixed constant as the historical Risk.monte_carlo default, so an
-   engine-less call and a default engine agree bit for bit. *)
-let default_seed = 0xCA5CADEL
-
-let create ?(jobs = 1) ?(seed = default_seed) ?(stats = false)
-    ?(cache = true) ?cache_bound ?chunk () =
+let create ?(jobs = 1) ?(stats = false) ?(cache = true) ?cache_bound ?chunk
+    () =
   if jobs < 1 then invalid_arg "Engine.create: jobs must be >= 1";
   (match cache_bound with
   | Some n when n < 1 -> invalid_arg "Engine.create: cache_bound must be >= 1"
@@ -57,7 +52,6 @@ let create ?(jobs = 1) ?(seed = default_seed) ?(stats = false)
   if stats then Storage_obs.enable ();
   {
     jobs;
-    seed;
     stats;
     cache;
     cache_bound;
@@ -103,7 +97,6 @@ let of_cli ?chunk ?(env = Sys.getenv_opt) ~jobs ~stats () =
     resolved
 
 let jobs t = t.jobs
-let seed t = t.seed
 let stats t = t.stats
 let cache t = t.cache
 let cache_bound t = t.cache_bound
@@ -131,8 +124,8 @@ let shutdown t =
   in
   Option.iter Storage_parallel.Pool.shutdown p
 
-let with_engine ?jobs ?seed ?stats f =
-  let t = create ?jobs ?seed ?stats () in
+let with_engine ?jobs ?stats f =
+  let t = create ?jobs ?stats () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 let map t f xs =

@@ -3,11 +3,12 @@
     The framework's outer loops — design-space search, sensitivity sweeps,
     portfolio evaluation, Monte-Carlo risk, failure-phase sweeps — share
     the same execution machinery: a {!Storage_parallel.Pool} of domains,
-    a memoized evaluation cache, the {!Storage_obs} stats switch and a
-    PRNG seed for stochastic stages. Threading those as per-call
-    [?jobs]/[?cache] optional arguments does not scale past a handful of
-    entry points (every new loop re-grows the list); an [Engine.t] owns
-    them once and is passed whole. The static lint pre-filter is not
+    a memoized evaluation cache and the {!Storage_obs} stats switch.
+    Threading those as per-call [?jobs]/[?cache] optional arguments does
+    not scale past a handful of entry points (every new loop re-grows the
+    list); an [Engine.t] owns them once and is passed whole. Seeds are not
+    engine state: stochastic stages take one per call, with a fixed
+    default. The static lint pre-filter is not
     engine policy: search and portfolio loops always apply it.
 
     Ownership and lifecycle:
@@ -20,7 +21,7 @@
       [Eval_cache.of_engine] — without this module depending on them.
       Slots are created on first use under the engine's mutex and live
       until the engine is garbage collected.
-    - Stats flag, seed and cache policy are immutable configuration.
+    - Stats flag and cache policy are immutable configuration.
 
     Engines are cheap to create; [create ()] is the serial default used
     by every entry point when no engine is passed. All operations are
@@ -30,16 +31,14 @@ type t
 
 val create :
   ?jobs:int ->
-  ?seed:int64 ->
   ?stats:bool ->
   ?cache:bool ->
   ?cache_bound:int ->
   ?chunk:int ->
   unit ->
   t
-(** [create ()] is a serial engine: [jobs = 1], the framework's fixed
-    default seed, stats off, caching on with an
-    unbounded cache policy, auto-sized parallel chunks. Raises
+(** [create ()] is a serial engine: [jobs = 1], stats off, caching on
+    with an unbounded cache policy, auto-sized parallel chunks. Raises
     [Invalid_argument] when [jobs < 1], [cache_bound < 1] or
     [chunk < 1]. [~stats:true] additionally turns the global
     {!Storage_obs} registry on. [~cache:false] turns the evaluation
@@ -74,16 +73,11 @@ val of_cli :
     error, never a silent serial fallback. An explicit [jobs = Some n]
     wins over the environment. *)
 
-val with_engine :
-  ?jobs:int -> ?seed:int64 -> ?stats:bool -> (t -> 'a) -> 'a
+val with_engine : ?jobs:int -> ?stats:bool -> (t -> 'a) -> 'a
 (** [with_engine f] runs [f] with a fresh engine built by {!create} and
     shuts it down on the way out (including on exceptions). *)
 
 val jobs : t -> int
-
-val seed : t -> int64
-(** Seed for stochastic stages (Monte-Carlo risk). Fixed default, so
-    results are reproducible unless the caller opts into another seed. *)
 
 val stats : t -> bool
 

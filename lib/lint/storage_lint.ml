@@ -321,8 +321,6 @@ let prefilter d =
   (Storage_obs.Counter.incr obs_pruned;
    false)
 
-let prune candidates = List.filter prefilter candidates
-
 let exit_code ?(deny_warnings = false) ds =
   if errors ds <> [] then 2
   else if deny_warnings && warnings ds <> [] then 1

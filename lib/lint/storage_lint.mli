@@ -69,9 +69,6 @@ val prefilter : Design.t -> bool
     {!Storage_obs} counter, so [--stats] shows how much work the search
     pre-filter saved. *)
 
-val prune : Design.t list -> Design.t list
-(** The candidates satisfying {!prefilter}, in order. *)
-
 val exit_code : ?deny_warnings:bool -> Diagnostic.t list -> int
 (** CLI exit code: [2] with errors, [1] with warnings under
     [~deny_warnings:true], [0] otherwise. *)

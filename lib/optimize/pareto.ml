@@ -45,7 +45,8 @@ let tie_break (a : Objective.summary) (b : Objective.summary) =
    An element dominated by the newcomer cannot itself dominate a later
    input that the newcomer would not also dominate — so insertion-time
    eviction loses nothing, and folding [insert] over the input yields
-   exactly the same list as the quadratic [frontier_reference] filter.
+   exactly the same list as the quadratic reference filter
+   (Storage_testkit.Reference.pareto_frontier).
    Each insertion is O(front); the whole fold is O(n x front) instead of
    O(n^2), and streaming search never holds more than the frontier
    itself. *)
@@ -78,22 +79,3 @@ let insert front s =
 
 let contents front = front
 let frontier summaries = List.fold_left insert empty summaries
-
-let frontier_reference summaries =
-  let non_dominated =
-    List.filter
-      (fun s -> not (List.exists (fun other -> dominates other s) summaries))
-      summaries
-  in
-  (* Regroup each equal-score class at its first occurrence, internally
-     stable-sorted by [tie_break] — the specification [insert] maintains
-     incrementally. *)
-  let rec regroup seen = function
-    | [] -> []
-    | x :: rest ->
-      if List.exists (same_score x) seen then regroup seen rest
-      else
-        List.stable_sort tie_break (List.filter (same_score x) non_dominated)
-        @ regroup (x :: seen) rest
-  in
-  regroup [] non_dominated

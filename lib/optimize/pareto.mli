@@ -18,12 +18,8 @@ val frontier : Objective.summary list -> Objective.summary list
     relative order of structurally-distinct tied candidates would leak
     the enumeration order. Computed incrementally (a fold of {!insert});
     O(n x frontier size) rather than the old O(n^2) scan, and provably
-    equal — list for list — to {!frontier_reference}. *)
-
-val frontier_reference : Objective.summary list -> Objective.summary list
-(** The quadratic specification: filter out everything some other element
-    dominates. Kept as the oracle for the incremental implementation's
-    property tests; prefer {!frontier}. *)
+    equal — list for list — to the quadratic reference
+    [Storage_testkit.Reference.pareto_frontier]. *)
 
 (** {1 Online frontier}
 

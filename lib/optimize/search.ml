@@ -144,33 +144,6 @@ let run ?engine ?top_k candidates scenarios =
       feasible_count = !feasible_count;
     }
 
-(* The independent reference algorithm the streaming path is
-   differential-tested against: materialize the whole grid, lint-prune it
-   as a list, score serially, and build the frontier with the quadratic
-   reference scan. Shares no traversal code with [run]. *)
-let run_materialized candidates scenarios =
-  if candidates = [] then invalid_arg "Search.run: no candidate designs";
-  if scenarios = [] then invalid_arg "Search.run: no scenarios";
-  let candidates = Storage_lint.prune candidates in
-  Storage_obs.Counter.add obs_evaluations
-    (List.length candidates * List.length scenarios);
-  Storage_obs.Timer.time t_search @@ fun () ->
-  let evaluated =
-    List.map (fun d -> Objective.summarize d scenarios) candidates
-  in
-  let feasible =
-    List.filter (fun s -> s.Objective.feasible) evaluated
-    |> List.sort by_cost
-  in
-  {
-    evaluated;
-    feasible;
-    frontier = Pareto.frontier_reference evaluated;
-    best = (match feasible with [] -> None | best :: _ -> Some best);
-    considered = List.length evaluated;
-    feasible_count = List.length feasible;
-  }
-
 let pp ppf r =
   Fmt.pf ppf "@[<v>%d candidates, %d feasible, %d on the Pareto frontier@,%a%a@]"
     r.considered r.feasible_count

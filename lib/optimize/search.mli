@@ -63,11 +63,5 @@ val run :
     session — re-visited candidates cost a lookup, not an evaluation.
     The cache never changes any metric. *)
 
-val run_materialized : Design.t list -> Scenario.t list -> result
-(** The materialized reference loop the streaming path is
-    property-tested against: whole-list lint pruning, serial scoring,
-    quadratic reference frontier. Byte-identical results to {!run}
-    without [~top_k] on the same grid. *)
-
 val pp : result Fmt.t
 (** Prints the counts, the frontier and the winner. *)

@@ -27,6 +27,7 @@ type result = {
 }
 
 let default_budget = 2048
+let default_seed = 0xCA5CADEL
 
 (* Solver throughput alongside the search.* family: evaluations requested
    (cache hits included) and annealing moves accepted. *)
@@ -58,8 +59,8 @@ let run_grid ~engine ?background ?top_k kit space scenarios =
   let n = listing.Search.considered in
   (listing, { evaluations = n; considered = n; accepted = 0 })
 
-let run_in ~engine ?(budget = default_budget) ?seed ?top_k ?background
-    ~method_ kit space scenarios =
+let run_in ~engine ?(budget = default_budget) ?(seed = default_seed) ?top_k
+    ?background ~method_ kit space scenarios =
   if scenarios = [] then invalid_arg "Solver.run: no scenarios";
   if budget < 1 then invalid_arg "Solver.run: budget must be >= 1";
   (match (method_, top_k) with
@@ -68,7 +69,6 @@ let run_in ~engine ?(budget = default_budget) ?seed ?top_k ?background
   | _ -> ());
   let grid_points = Candidate.point_count space in
   if grid_points = 0 then invalid_arg "Solver.run: empty candidate space";
-  let seed = match seed with Some s -> s | None -> Engine.seed engine in
   Storage_obs.Timer.time t_solver @@ fun () ->
   let best, stats, listing =
     match method_ with
@@ -167,8 +167,8 @@ let background_for kit chosen ~self =
          if extra = [] then None
          else Some (dev.Storage_device.Device.name, extra))
 
-let solve_portfolio ?engine ?budget ?seed ?(rounds = 2) ~method_ ~kit ~space
-    ~members scenarios =
+let solve_portfolio ?engine ?budget ?(seed = default_seed) ?(rounds = 2)
+    ~method_ ~kit ~space ~members scenarios =
   if members = [] then invalid_arg "Solver.solve_portfolio: no members";
   if rounds < 1 then invalid_arg "Solver.solve_portfolio: rounds must be >= 1";
   let labels = List.map (fun m -> m.label) members in
@@ -180,7 +180,6 @@ let solve_portfolio ?engine ?budget ?seed ?(rounds = 2) ~method_ ~kit ~space
   Fun.protect
     ~finally:(fun () -> if owned then Engine.shutdown engine)
   @@ fun () ->
-  let seed = match seed with Some s -> s | None -> Engine.seed engine in
   let master = Storage_workload.Prng.create ~seed in
   let kit_for m =
     { kit with Candidate.workload = m.workload; business = m.business }

@@ -62,7 +62,7 @@ val run :
   result
 (** Search the grid for the cheapest feasible design. [budget] (default
     2048) bounds annealing proposals and is recorded (but not binding)
-    for grid; [seed] defaults to the engine's seed; [top_k] (grid only)
+    for grid; [seed] defaults to the fixed [0xCA5CADE]; [top_k] (grid only)
     keeps the [k] cheapest feasible designs in [listing] for {!pp} to
     list — memory stays O(frontier + k) whatever the grid size;
     [background] prices every candidate under externally-imposed device

@@ -453,8 +453,7 @@ let parse_scenario section =
 
 (* --- assembly --- *)
 
-let design_of_string ?(validate = true) text =
-  let* sections = Ini.parse text in
+let design_of_sections ?(validate = true) sections =
   let* workload_section = Ini.find_one sections ~kind:"workload" in
   let* workload = parse_workload workload_section in
   let* devices = traverse parse_device (Ini.find_all sections ~kind:"device") in
@@ -755,32 +754,34 @@ let design_to_string ?(scenarios = []) (d : Design.t) =
   in
   Ok (Buffer.contents buf)
 
-type load_error = Unreadable of string | Invalid of string
+(* --- loading --- *)
 
-let load_error_message = function Unreadable m | Invalid m -> m
+let scenarios_of_sections sections =
+  traverse parse_scenario (Ini.find_all sections ~kind:"scenario")
+
+(* The one place a design file's text is split into sections: the design
+   and its scenarios are both read off the same parse. *)
+let of_sections f text =
+  let* sections = Ini.parse text in
+  f sections
+
+let design_of_string ?validate = of_sections (design_of_sections ?validate)
+let scenarios_of_string = of_sections scenarios_of_sections
+
+(* Design errors come first: a file whose design does not load is
+   reported as such even when a [scenario] section is broken too. *)
+let parse ?validate =
+  of_sections (fun sections ->
+      let* design = design_of_sections ?validate sections in
+      let* scenarios = scenarios_of_sections sections in
+      Ok (design, scenarios))
+
+type load_error = Unreadable of string | Invalid of string
 
 (* [Sys_error]'s message already names the file ("path: No such file or
    directory" / "path: Permission denied"); raising it out of here
    instead would hand callers a backtrace where they need a filename. *)
-let read_file path =
+let load ?validate path =
   match In_channel.with_open_text path In_channel.input_all with
-  | text -> Ok text
   | exception Sys_error m -> Error (Unreadable m)
-
-let load_design_file ?validate path =
-  match read_file path with
-  | Error _ as e -> e
-  | Ok text ->
-    Result.map_error (fun m -> Invalid m) (design_of_string ?validate text)
-
-let scenarios_of_string text =
-  let* sections = Ini.parse text in
-  traverse parse_scenario (Ini.find_all sections ~kind:"scenario")
-
-let load_scenarios_file path =
-  match read_file path with
-  | Error _ as e -> e
-  | Ok text -> Result.map_error (fun m -> Invalid m) (scenarios_of_string text)
-
-let scenarios_of_file path =
-  Result.map_error load_error_message (load_scenarios_file path)
+  | text -> Result.map_error (fun m -> Invalid m) (parse ?validate text)

@@ -64,15 +64,25 @@ open Storage_model
     object_size = 1 MiB                # object scope only
     v} *)
 
-val design_of_string : ?validate:bool -> string -> (Design.t, string) result
-(** Parses and assembles a full design; errors carry section/line
-    context. [?validate] (default [true]) runs {!Design.validate} as the
-    final step, so an [Ok] design is known evaluable; [~validate:false]
-    stops after assembly — the loophole [ssdep lint] uses to report a
-    statically invalid design's findings (with rule codes) instead of a
-    load error. Hierarchy structure is always enforced: a level list
-    {!Storage_hierarchy.Hierarchy.make} rejects cannot be represented as
-    a [Design.t] at all. *)
+val parse :
+  ?validate:bool ->
+  string ->
+  (Design.t * (string * Scenario.t) list, string) result
+(** [parse text] is a design file's design and its named [[scenario]]
+    sections (empty list when none), read off one parse of the text.
+    Every front end loads design files through it (or {!load}), so they
+    all agree on what a valid file is: a malformed [[scenario]] section
+    makes the whole file invalid, just like a malformed design section.
+    Errors carry section/line context; design errors are reported before
+    scenario errors.
+
+    [?validate] (default [true]) runs {!Design.validate} as the final
+    step of assembling the design, so an [Ok] design is known evaluable;
+    [~validate:false] stops after assembly — the loophole [ssdep lint]
+    uses to report a statically invalid design's findings (with rule
+    codes) instead of a load error. Hierarchy structure is always
+    enforced: a level list {!Storage_hierarchy.Hierarchy.make} rejects
+    cannot be represented as a [Design.t] at all. *)
 
 type load_error =
   | Unreadable of string
@@ -81,26 +91,22 @@ type load_error =
           treat this as a configuration error (`ssdep` exits 2), distinct
           from a file that reads fine but does not parse. *)
   | Invalid of string
-      (** The file was read but is not a valid design: parse or
-          validation error with section/line context. *)
+      (** The file was read but is not valid: {!parse}'s error. *)
 
-val load_error_message : load_error -> string
+val load :
+  ?validate:bool ->
+  string ->
+  (Design.t * (string * Scenario.t) list, load_error) result
+(** {!parse} on the contents of a file, keeping unreadable paths and
+    invalid contents apart so a front end can map them to different exit
+    codes. *)
 
-val load_design_file :
-  ?validate:bool -> string -> (Design.t, load_error) result
-(** Reads and parses a design file ({!design_of_string}), keeping
-    unreadable paths and invalid contents apart so a front end can map
-    them to different exit codes. *)
-
-val load_scenarios_file :
-  string -> ((string * Scenario.t) list, load_error) result
+val design_of_string : ?validate:bool -> string -> (Design.t, string) result
+(** The design of {!parse}, ignoring the [[scenario]] sections. *)
 
 val scenarios_of_string :
   string -> ((string * Scenario.t) list, string) result
-(** The named [[scenario]] sections of a design file (empty list when
-    none). *)
-
-val scenarios_of_file : string -> ((string * Scenario.t) list, string) result
+(** The scenarios of {!parse}, ignoring the design sections. *)
 
 val design_to_string :
   ?scenarios:(string * Scenario.t) list -> Design.t -> (string, string) result

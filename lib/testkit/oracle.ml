@@ -114,7 +114,7 @@ let stream_vs_materialized =
       (fun ctx d scenarios ->
         let scs = List.map snd scenarios in
         let streaming = Search.run ~engine:ctx.engine (Seq.return d) scs in
-        let materialized = Search.run_materialized [ d ] scs in
+        let materialized = Reference.run_materialized [ d ] scs in
         if String.equal (bytes_of streaming) (bytes_of materialized) then Pass
         else Fail "streaming search differs from the materialized loop");
   }

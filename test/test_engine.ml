@@ -185,7 +185,8 @@ let seeded_candidates =
   Storage_testkit.Seeded.draw ~seed:[| 0x57E4; 2004 |] ~n:200
     Test_random_designs.pool
 
-let reference_oracle () = Search.run_materialized seeded_candidates scenarios
+let reference_oracle () =
+  Storage_testkit.Reference.run_materialized seeded_candidates scenarios
 
 let check_result_identical msg (a : Search.result) (b : Search.result) =
   check_same_bytes (msg ^ ": evaluated") a.Search.evaluated b.Search.evaluated;

@@ -271,7 +271,7 @@ let prop_incremental_frontier_matches_reference =
     (fun triples ->
       let summaries = List.map synthetic_summary triples in
       let incremental = Pareto.frontier summaries in
-      let reference = Pareto.frontier_reference summaries in
+      let reference = Storage_testkit.Reference.pareto_frontier summaries in
       let online =
         Pareto.contents (List.fold_left Pareto.insert Pareto.empty summaries)
       in

@@ -306,6 +306,20 @@ let test_malformed_requests_isolated () =
   in
   Alcotest.(check (option int)) "oversized header block" (Some 431)
     (status_of (raw_roundtrip ~port huge_header));
+  (* A malformed [scenario] section makes the whole file invalid, on
+     /lint as on /evaluate. *)
+  let broken =
+    Lazy.force design_text ^ "\n[scenario broken]\nscope = nowhere 3\n"
+  in
+  List.iter
+    (fun path ->
+      let status, body = request ~port ~meth:"POST" ~path broken in
+      Alcotest.(check (option int)) (path ^ " malformed scenario") (Some 400)
+        status;
+      Alcotest.(check bool)
+        (path ^ " names the section") true
+        (Helpers.contains body "[scenario broken]"))
+    [ "/evaluate"; "/lint" ];
   (* The daemon outlived all of it. *)
   let status, body = request ~port ~meth:"GET" ~path:"/healthz" "" in
   Alcotest.(check (option int)) "alive after abuse" (Some 200) status;
@@ -432,31 +446,35 @@ let test_real_binary_drains_on_sigterm () =
                  (String.length first_line - i - 1))
           | None -> Alcotest.failf "unexpected banner %S" first_line
         in
-        (* The daemon's answer matches the CLI's byte for byte. *)
-        let status, body =
-          request ~port ~meth:"POST" ~path:"/evaluate"
-            (Lazy.force design_text)
-        in
-        Alcotest.(check (option int)) "daemon evaluates" (Some 200) status;
+        (* The daemon's answers match the CLI's byte for byte. *)
         let tmp = Filename.temp_file "ssdep_serve_test" ".ssdep" in
         Fun.protect
           ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
           (fun () ->
             Out_channel.with_open_text tmp (fun oc ->
                 output_string oc (Lazy.force design_text));
-            let cli =
-              Unix.open_process_in
-                (Printf.sprintf "%s evaluate --file %s --json"
-                   (Filename.quote bin) (Filename.quote tmp))
-            in
-            let cli_out = In_channel.input_all cli in
-            (match Unix.close_process_in cli with
-            | Unix.WEXITED 0 -> ()
-            | _ -> Alcotest.fail "ssdep evaluate failed");
-            Alcotest.(check bool)
-              "daemon response byte-identical to `ssdep evaluate --json`"
-              true
-              (String.equal cli_out body));
+            List.iter
+              (fun (path, cmd) ->
+                let status, body =
+                  request ~port ~meth:"POST" ~path (Lazy.force design_text)
+                in
+                Alcotest.(check (option int)) (path ^ " status") (Some 200)
+                  status;
+                let cli =
+                  Unix.open_process_in
+                    (Printf.sprintf "%s %s %s --json" (Filename.quote bin) cmd
+                       (Filename.quote tmp))
+                in
+                let cli_out = In_channel.input_all cli in
+                (match Unix.close_process_in cli with
+                | Unix.WEXITED 0 -> ()
+                | _ -> Alcotest.failf "ssdep %s failed" cmd);
+                Alcotest.(check bool)
+                  (Printf.sprintf
+                     "daemon %s byte-identical to `ssdep %s --json`" path cmd)
+                  true
+                  (String.equal cli_out body))
+              [ ("/evaluate", "evaluate --file"); ("/lint", "lint") ]);
         (* SIGTERM: graceful drain, clean exit, the drain banner. *)
         Unix.kill pid Sys.sigterm;
         let rest = In_channel.input_all ic in
