@@ -412,7 +412,7 @@ let search ~cache ~jobs candidates scenarios =
 (* Streaming throughput (serial-throughput and parallel-speedup gates,
    stream's headline): best wall time of a cache-off search over
    [grid ()]. Cache off is the configuration a one-shot sweep over an
-   all-distinct grid runs in — it cannot hit, so fingerprinting and memo
+   all-distinct grid runs in — it cannot hit, so key building and memo
    bookkeeping would be pure overhead — and the grid is unmonitored:
    [peak_live_words]' sampling costs more than the evaluations. *)
 let search_seconds ~repeats ~jobs grid scenarios =

@@ -43,9 +43,8 @@ val create :
     [chunk < 1]. [~stats:true] additionally turns the global
     {!Storage_obs} registry on. [~cache:false] turns the evaluation
     memo-cache off entirely — one-shot sweeps over all-distinct grids
-    get no hits from it, so they skip both the cache bookkeeping and the
-    design fingerprinting that exists only to key it (see
-    {!Storage_model.Design.fingerprint}). *)
+    get no hits from it, so they skip the cache bookkeeping and the
+    per-lookup key building (see {!Storage_model.Eval_cache.key}). *)
 
 val parse_jobs : string -> (int, string) result
 (** Validates one spelling of a jobs count: a positive decimal integer.
@@ -85,7 +84,7 @@ val cache : t -> bool
 (** Whether evaluation loops should memoize (design, scenario) results
     at all. [false] is the right setting for one-shot sweeps whose
     candidates are all distinct: the cache cannot hit, so maintaining it
-    (and fingerprinting every design to key it) is pure overhead. *)
+    (and building a key for every lookup) is pure overhead. *)
 
 val cache_bound : t -> int option
 (** Advisory bound for caches attached to this engine: [Some n] caps an

@@ -56,19 +56,9 @@ type t = {
   hierarchy : Hierarchy.t;
   business : Business.t;
   background : (string * Demand.labeled list) list;
-  fingerprint_memo : string option Atomic.t;
+  key : Struct_hash.t;
   derived_memo : derived option Atomic.t;
 }
-
-let make ~name ~workload ~hierarchy ~business ?(background = []) () =
-  { name; workload; hierarchy; business; background;
-    fingerprint_memo = Atomic.make None;
-    derived_memo = Atomic.make None }
-
-let strip t =
-  { t with
-    fingerprint_memo = Atomic.make None;
-    derived_memo = Atomic.make None }
 
 let primary_raid t =
   match (Hierarchy.primary t.hierarchy).Hierarchy.technique with
@@ -391,13 +381,15 @@ let primary_technique_of_device t dev =
   | Some l -> Technique.name l.technique
   | None -> invalid_arg "Design.primary_technique_of_device: unknown device"
 
-(* Structural fingerprint: an explicit walk over every design parameter,
+(* Structural digests: an explicit walk over every design parameter,
    folded into a {!Storage_units.Struct_hash} accumulator. Compared with
    the Marshal + MD5 digest it replaced this allocates no byte buffer, and
    like it the result depends only on the structure, never on how the
    value was built. Every variant constructor feeds a distinct tag and
    every list is length-prefixed, so distinct structures cannot collide by
-   concatenation; the memo fields are excluded. *)
+   concatenation. Each piece of a design (workload, level, business,
+   background) is walked on its own, and the design's key combines those
+   digests, so a piece shared by many designs can be walked once. *)
 module H = Struct_hash
 
 let hash_duration h d = H.float h (Duration.to_seconds d)
@@ -526,23 +518,53 @@ let hash_labeled h (l : Demand.labeled) =
     (hash_rate (hash_rate h d.Demand.read_bw) d.Demand.write_bw)
     d.Demand.capacity
 
-let fingerprint t =
-  match Atomic.get t.fingerprint_memo with
-  | Some fp -> fp
-  | None ->
-    let h = H.string H.init t.name in
-    let h = hash_workload h t.workload in
-    let h = H.list hash_level h (Hierarchy.levels t.hierarchy) in
-    let h = hash_business h t.business in
-    let h =
-      H.list
-        (fun h (name, demands) ->
-          H.list hash_labeled (H.string h name) demands)
-        h t.background
-    in
-    let fp = H.to_hex h in
-    Atomic.set t.fingerprint_memo (Some fp);
-    fp
+let digest_level l = hash_level H.init l
+let digest_workload w = hash_workload H.init w
+let digest_business b = hash_business H.init b
+
+let digest_background background =
+  H.list
+    (fun h (name, demands) -> H.list hash_labeled (H.string h name) demands)
+    H.init background
+
+type digests = {
+  workload_digest : Struct_hash.t;
+  level_digests : Struct_hash.t list;
+  business_digest : Struct_hash.t;
+  background_digest : Struct_hash.t;
+}
+
+(* The key: the name, then each piece's digest in a fixed order, the
+   levels length-prefixed like every list. *)
+let compose_key ~name d =
+  let h = H.combine (H.string H.init name) d.workload_digest in
+  let h = H.list H.combine h d.level_digests in
+  H.combine (H.combine h d.business_digest) d.background_digest
+
+let make ~name ~workload ~hierarchy ~business ?(background = []) ?digests ()
+    =
+  let digests =
+    match digests with
+    | Some d ->
+      if List.compare_length_with d.level_digests (Hierarchy.length hierarchy)
+         <> 0
+      then invalid_arg "Design.make: one level digest per hierarchy level";
+      d
+    | None ->
+      {
+        workload_digest = digest_workload workload;
+        level_digests = List.map digest_level (Hierarchy.levels hierarchy);
+        business_digest = digest_business business;
+        background_digest = digest_background background;
+      }
+  in
+  { name; workload; hierarchy; business; background;
+    key = compose_key ~name digests;
+    derived_memo = Atomic.make None }
+
+let strip t = { t with derived_memo = Atomic.make None }
+
+let fingerprint t = Struct_hash.to_hex t.key
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>design %s:@,%a@,%a@,business: %a@]" t.name Workload.pp

@@ -28,16 +28,39 @@ type t = private {
       (** demands other tenants place on this design's devices (device name
           -> labeled demands); they consume capacity and bandwidth but are
           not billed to this design (see {!Portfolio}) *)
-  fingerprint_memo : string option Atomic.t;
-      (** internal memo backing {!fingerprint}; not a design parameter and
-          excluded from the fingerprint itself *)
+  key : Struct_hash.t;
+      (** the design's structural key: its name combined with the digests
+          of its workload, each level in order, its business requirements
+          and its background (see {!make}); computed once, when the design
+          is made *)
   derived_memo : derived option Atomic.t;
-      (** internal memo backing the derived-data accessors; like
-          [fingerprint_memo], not a design parameter. The whole record is
-          filled in one shot, so any two designs both touched by any
-          accessor carry structurally equal memo states — which keeps the
-          byte-identity test suites honest when designs are marshaled. *)
+      (** internal memo backing the derived-data accessors; not a design
+          parameter and excluded from [key]. The whole record is filled in
+          one shot, so any two designs both touched by any accessor carry
+          structurally equal memo states — which keeps the byte-identity
+          test suites honest when designs are marshaled. *)
 }
+
+(** {1 Digests}
+
+    Each piece of a design has its own {!Storage_units.Struct_hash}
+    digest, a walk over every leaf of that piece. The design's [key]
+    combines them, so a piece that many designs share (a grid's levels,
+    workload, business requirements and background) can be walked once
+    for all of them. *)
+
+val digest_level : Hierarchy.level -> Struct_hash.t
+val digest_workload : Workload.t -> Struct_hash.t
+val digest_business : Business.t -> Struct_hash.t
+val digest_background : (string * Demand.labeled list) list -> Struct_hash.t
+
+type digests = {
+  workload_digest : Struct_hash.t;
+  level_digests : Struct_hash.t list;  (** one per level, in order *)
+  business_digest : Struct_hash.t;
+  background_digest : Struct_hash.t;
+}
+(** The digests of a design's pieces, computed ahead of {!make}. *)
 
 val make :
   name:string ->
@@ -45,12 +68,21 @@ val make :
   hierarchy:Hierarchy.t ->
   business:Business.t ->
   ?background:(string * Demand.labeled list) list ->
+  ?digests:digests ->
   unit ->
   t
+(** [background] defaults to none. Without [digests], [make] walks every
+    piece to compute the key. With them it only combines: each digest
+    must be the [digest_*] of the piece in the same position (the
+    workload, each level of [hierarchy] in order, [business],
+    [background]), and the key is then the one the walk would give. Only
+    callers that share pieces across many designs (the candidate grid)
+    pass them. Raises [Invalid_argument] when the number of level digests
+    differs from the number of levels. *)
 
 val strip : t -> t
-(** A structurally equal copy with empty memo fields: same fingerprint,
-    same behaviour, but none of the derived data retained. Long-lived
+(** A structurally equal copy with an empty derived memo: same key, same
+    behaviour, but none of the derived data retained. Long-lived
     accumulators (e.g. a streaming search's bounded frontier) hold stripped
     copies so that per-design scratch data does not pile up in the live
     set; accessors on the copy simply recompute (and re-memoize) on
@@ -103,15 +135,10 @@ val primary_technique_of_device : t -> Device.t -> string
     (§3.3.5): the lowest hierarchy level hosted on it. *)
 
 val fingerprint : t -> string
-(** A canonical 128-bit hex key over the design's entire structure
-    (workload, hierarchy, business requirements, background load), computed
-    by an allocation-light {!Storage_units.Struct_hash} walk (no Marshal
-    round-trip) and memoized. Structurally equal designs always share a
-    fingerprint, however they were constructed; designs differing in any
-    parameter (almost surely) do not. Used with {!Scenario.fingerprint} to
-    key the evaluation memo-cache ({!Eval_cache}) — and computed only when
-    such a cache is actually in play: nothing on the cache-less evaluation
-    path calls it. *)
+(** The design's [key] as 32 hex characters, for display and pinned
+    values. Structurally equal designs always share a key, however they
+    were constructed; designs differing in any parameter (almost surely)
+    do not. {!Eval_cache} keys on [key] itself. *)
 
 type term_owner =
   | Workload_term

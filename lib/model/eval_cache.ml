@@ -4,8 +4,9 @@ type t = Evaluate.report Memo.t
 
 let create ?max_entries () = Memo.create ?max_entries ~size:256 ()
 
-let key design scenario =
-  Design.fingerprint design ^ ":" ^ Scenario.fingerprint scenario
+let key (design : Design.t) scenario =
+  Storage_units.Struct_hash.(
+    to_key (combine design.Design.key (Scenario.digest scenario)))
 
 (* One cache slot per engine, minted once at module init: [of_engine]
    inverts the layering (the engine sits below the model yet owns the

@@ -8,7 +8,7 @@
     {!Storage_parallel.Pool} (the underlying {!Storage_parallel.Memo} is
     thread-safe).
 
-    Keys are {!Design.fingerprint} + {!Scenario.fingerprint}: purely
+    A key is the design's [key] combined with {!Scenario.digest}: purely
     structural, so it never matters how or where a design was built. A
     cached report is the very value a fresh evaluation would produce —
     callers cannot observe the cache except as saved time. *)
@@ -31,7 +31,10 @@ val attach : Storage_engine.t -> t -> unit
     earlier session, or one with a custom [max_entries] bound. *)
 
 val key : Design.t -> Scenario.t -> string
-(** The cache key: both fingerprints, joined. *)
+(** The cache key: the design's [key] with the scenario's digest folded
+    in ({!Storage_units.Struct_hash.combine}), as 16 raw bytes. The
+    design's part was computed when it was made, so a key costs one
+    scenario walk and one [combine]. *)
 
 val run : t -> Design.t -> Scenario.t -> Evaluate.report
 (** Memoized {!Evaluate.run}. *)

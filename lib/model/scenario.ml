@@ -114,7 +114,7 @@ let rec hash_scope h (s : Location.scope) =
    shards keyed before the change stay valid. Multi-event scenarios get a
    domain-separating tag (6 — one past the last scope tag) so no event
    set can collide with a single-failure digest. *)
-let fingerprint t =
+let digest t =
   let module H = Struct_hash in
   let hash_tail h (e : event) =
     let h = H.float h (Duration.to_seconds e.target_age) in
@@ -122,14 +122,16 @@ let fingerprint t =
   in
   match t.events with
   | [ e ] when Duration.is_zero e.at ->
-    H.to_hex (hash_tail (hash_scope H.init e.scope) e)
+    hash_tail (hash_scope H.init e.scope) e
   | events ->
     let hash_event h (e : event) =
       let h = hash_scope h e.scope in
       let h = H.float h (Duration.to_seconds e.at) in
       hash_tail h e
     in
-    H.to_hex (H.list hash_event (H.int H.init 6) events)
+    H.list hash_event (H.int H.init 6) events
+
+let fingerprint t = Struct_hash.to_hex (digest t)
 
 let pp_event ppf (e : event) =
   Fmt.pf ppf "%a at +%a, target now - %a%a" Location.pp_scope e.scope

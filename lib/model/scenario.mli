@@ -77,10 +77,13 @@ val combine : t -> t -> t
 val delay : Duration.t -> t -> t
 (** Shifts every event later by the given (non-negative) duration. *)
 
-val fingerprint : t -> string
-(** Canonical hex digest of the scenario's structure; the scenario half of
-    the {!Eval_cache} key (see {!Design.fingerprint}). Single-event
-    scenarios hash exactly as the pre-algebra representation did, so the
+val digest : t -> Struct_hash.t
+(** Structural digest of the scenario; the scenario half of the
+    {!Eval_cache} key (see {!Design.t}'s [key]). Single-event scenarios
+    hash exactly as the pre-algebra representation did, so the
     representation change does not invalidate warm cache shards. *)
+
+val fingerprint : t -> string
+(** {!digest} as 32 hex characters. *)
 
 val pp : t Fmt.t

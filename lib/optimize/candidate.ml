@@ -149,19 +149,6 @@ let mirror_level kit links =
     },
     "asyncB mirror x" ^ string_of_int links )
 
-(* A level stack that violates the hierarchy conventions, or a design the
-   linter would reject, yields [None]: the one acceptance predicate by
-   which a grid point becomes a design. *)
-let assemble ~background kit ~name levels =
-  match Hierarchy.make levels with
-  | Error _ -> None
-  | Ok hierarchy ->
-    let design =
-      Design.make ~name ~workload:kit.workload ~hierarchy
-        ~business:kit.business ~background ()
-    in
-    if Design.violations design = [] then Some design else None
-
 (* --- the grid as an indexed coordinate space --- *)
 
 type point =
@@ -207,29 +194,42 @@ let points space =
 
 (* Everything that varies along fewer than all axes is built once here
    and shared by every cell it appears in: the PiT level per (kind, acc,
-   ret), the backup, vault and mirror levels per value, and their name
-   fragments. Besides the construction time, the sharing keeps
+   ret), the backup, vault and mirror levels per value, their name
+   fragments and their digests, and the digests of the workload, business
+   and background. Besides the construction time, the sharing keeps
    long-lived design accumulators (Pareto fronts, top-k sets) from
-   retaining a private copy of each schedule per design. *)
+   retaining a private copy of each schedule per design, and lets a
+   design's key combine digests instead of walking its pieces. *)
+type cell = {
+  level : Hierarchy.level;
+  label : string;  (** the name fragment, joining text included *)
+  digest : Struct_hash.t;  (** [Design.digest_level level] *)
+}
+
 type axes = {
   akit : kit;
   background : (string * Storage_device.Demand.labeled list) list;
-  aprimary : Hierarchy.level;
+  aprimary : cell;
   nacc : int;
   nret : int;
-  apits : (Hierarchy.level * string) array;
+  apits : cell array;
       (** indexed [(pit * nacc + pit_acc) * nret + pit_ret] *)
-  abackups : (Hierarchy.level * string) array;
-  avaults : (Hierarchy.level * string) array;
-  amirrors : (Hierarchy.level * string) array;
+  abackups : cell array;
+  avaults : cell array;
+  amirrors : cell array;
+  aworkload : Struct_hash.t;
+  abusiness : Struct_hash.t;
+  abackground : Struct_hash.t;
 }
 
+let cell (level, label) = { level; label; digest = Design.digest_level level }
+
 let axes ?(background = []) kit space =
-  let level_table f xs = Array.of_list (List.map f xs) in
+  let level_table f xs = Array.of_list (List.map (fun x -> cell (f x)) xs) in
   {
     akit = kit;
     background;
-    aprimary = primary_level kit;
+    aprimary = cell (primary_level kit, "");
     nacc = List.length space.pit_accumulations;
     nret = List.length space.pit_retentions;
     apits =
@@ -238,15 +238,41 @@ let axes ?(background = []) kit space =
            (fun kind ->
              List.concat_map
                (fun acc ->
-                 List.map (pit_level kit kind acc) space.pit_retentions)
+                 List.map
+                   (fun ret -> cell (pit_level kit kind acc ret))
+                   space.pit_retentions)
                space.pit_accumulations)
            space.pit_techniques);
     abackups = level_table (backup_level kit space) space.backup_accumulations;
     avaults = level_table (vault_level kit space) space.vault_accumulations;
     amirrors = level_table (mirror_level kit) space.mirror_links;
+    aworkload = Design.digest_workload kit.workload;
+    abusiness = Design.digest_business kit.business;
+    abackground = Design.digest_background background;
   }
 
 let in_range a i = i >= 0 && i < Array.length a
+
+(* A level stack that violates the hierarchy conventions, or a design the
+   linter would reject, yields [None]: the one acceptance predicate by
+   which a grid point becomes a design. *)
+let assemble t ~name cells =
+  match Hierarchy.make (List.map (fun c -> c.level) cells) with
+  | Error _ -> None
+  | Ok hierarchy ->
+    let digests =
+      {
+        Design.workload_digest = t.aworkload;
+        level_digests = List.map (fun c -> c.digest) cells;
+        business_digest = t.abusiness;
+        background_digest = t.abackground;
+      }
+    in
+    let design =
+      Design.make ~name ~workload:t.akit.workload ~hierarchy
+        ~business:t.akit.business ~background:t.background ~digests ()
+    in
+    if Design.violations design = [] then Some design else None
 
 let design_of_point t = function
   | Tape { pit; pit_acc; pit_ret; backup; vault } ->
@@ -256,19 +282,18 @@ let design_of_point t = function
       && in_range t.apits p && in_range t.abackups backup
       && in_range t.avaults vault
     then begin
-      let pit_level, pit_name = t.apits.(p) in
-      let backup_level, backup_name = t.abackups.(backup) in
-      let vault_level, vault_name = t.avaults.(vault) in
-      assemble ~background:t.background t.akit
-        ~name:(pit_name ^ backup_name ^ vault_name)
-        [ t.aprimary; pit_level; backup_level; vault_level ]
+      let pit = t.apits.(p) in
+      let backup = t.abackups.(backup) in
+      let vault = t.avaults.(vault) in
+      assemble t
+        ~name:(pit.label ^ backup.label ^ vault.label)
+        [ t.aprimary; pit; backup; vault ]
     end
     else None
   | Mirror { links } ->
     if in_range t.amirrors links then begin
-      let mirror_level, name = t.amirrors.(links) in
-      assemble ~background:t.background t.akit ~name
-        [ t.aprimary; mirror_level ]
+      let mirror = t.amirrors.(links) in
+      assemble t ~name:mirror.label [ t.aprimary; mirror ]
     end
     else None
 

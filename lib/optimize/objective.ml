@@ -58,9 +58,8 @@ let summarize ?engine design scenarios =
     match engine with
     | None -> Evaluate.run_all design scenarios
     | Some e when not (Storage_engine.cache e) ->
-      (* Cache disabled: evaluate directly. Besides the table bookkeeping
-         this skips keying entirely, so the design is never fingerprinted
-         — the fingerprint exists only to name cache entries. *)
+      (* Cache disabled: evaluate directly, building no key and probing
+         no table. *)
       Evaluate.run_all design scenarios
     | Some e -> Eval_cache.run_all (Eval_cache.of_engine e) design scenarios
   in

@@ -18,18 +18,17 @@ let same_score (a : Objective.summary) (b : Objective.summary) =
   && Data_loss.compare_loss a.Objective.worst_loss b.Objective.worst_loss = 0
 
 (* Total order over equal-score survivors: design name, then the design's
-   structural fingerprint (so two structurally distinct candidates that
-   happen to share a name and a score still order the same way regardless
-   of arrival order). *)
+   structural key (so two structurally distinct candidates that happen to
+   share a name and a score still order the same way regardless of arrival
+   order). Keys compare as two integers; nothing is rendered. *)
 let tie_break (a : Objective.summary) (b : Objective.summary) =
   let c =
     String.compare a.Objective.design.Design.name b.Objective.design.Design.name
   in
   if c <> 0 then c
   else
-    String.compare
-      (Design.fingerprint a.Objective.design)
-      (Design.fingerprint b.Objective.design)
+    Storage_units.Struct_hash.compare a.Objective.design.Design.key
+      b.Objective.design.Design.key
 
 (* Incremental frontier: the survivors so far. [insert] drops the newcomer
    if any survivor dominates it, otherwise evicts the survivors it

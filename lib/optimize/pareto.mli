@@ -14,7 +14,7 @@ val frontier : Objective.summary list -> Objective.summary list
     with {e equal} scores on all three objectives (a tie the dominance
     order cannot see) form one contiguous run at the first survivor's
     position, internally ordered by a pinned deterministic tie-break
-    (design name, then structural fingerprint). Without the pin, the
+    (design name, then structural key). Without the pin, the
     relative order of structurally-distinct tied candidates would leak
     the enumeration order. Computed incrementally (a fold of {!insert});
     O(n x frontier size) rather than the old O(n^2) scan, and provably

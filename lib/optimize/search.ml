@@ -104,9 +104,10 @@ let run ?engine ?top_k candidates scenarios =
       else begin
         let s = Objective.summarize ~engine s.Objective.design scenarios in
         (* When every scenario hits the cache the stripped design is never
-           re-evaluated, leaving its memos empty; force them so surviving
-           designs are indistinguishable — marshaled bytes included — from
-           ones summarized directly. *)
+           re-evaluated, leaving its derived memo empty; force it so
+           surviving designs are indistinguishable — marshaled bytes
+           included — from ones summarized directly. (The key needs no
+           such care: it is a plain value, kept by [Design.strip].) *)
         ignore (Design.validate s.Objective.design);
         s
       end

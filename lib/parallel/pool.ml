@@ -43,8 +43,11 @@ let obs_queue_wait = Storage_obs.Histogram.make "pool.queue_wait_seconds"
    written only under its own lock just below, and holds counters — the
    same discipline as the audited Storage_obs registry it feeds. *)
 let[@sslint.allow "SA002"] obs_domain_tasks =
-  (* Registering eagerly for a few indexes keeps the snapshot's key set
-     stable; wider pools extend it on demand. *)
+  (* Index 0 is registered here and every pool registers its own
+     indexes when created (see [create]), so the snapshot's key set
+     follows the pool widths, never which domains happened to win a
+     task: on a loaded machine the submitting domain can drain a short
+     batch before a worker wakes. *)
   let lock = Mutex.create () in
   let known = Hashtbl.create 16 in
   let get i =
@@ -111,6 +114,7 @@ let create ~jobs =
   in
   t.workers <-
     List.init (jobs - 1) (fun i ->
+        ignore (obs_domain_tasks (i + 1));
         Domain.spawn (fun () -> worker ~index:(i + 1) t));
   t
 

@@ -54,7 +54,7 @@ let obs_request_time = Storage_obs.Timer.make "serve.request_seconds"
 
 let shard_for t design =
   let n = Array.length t.caches in
-  t.caches.(Hashtbl.hash (Design.fingerprint design) mod n)
+  t.caches.(Hashtbl.hash design.Design.key mod n)
 
 let json_body j = Storage_report.Json.to_string_pretty j ^ "\n"
 

@@ -4,7 +4,7 @@
     daemon amortizes engine construction, domain-pool spawning and —
     above all — evaluation caching across every request, so a repeated
     design answers from the {!Eval_cache} instead of re-walking the
-    model. The cache is sharded by design fingerprint to keep concurrent
+    model. The cache is sharded by design key to keep concurrent
     requests off one mutex.
 
     Concurrency and back-pressure: an acceptor domain takes connections
@@ -37,7 +37,7 @@ type config = {
   workers : int;  (** handler domains draining the admission queue *)
   queue_capacity : int;
       (** admission-queue bound; beyond it clients get 429 *)
-  shards : int;  (** evaluation-cache shards (by design fingerprint) *)
+  shards : int;  (** evaluation-cache shards (by design key) *)
   max_body : int;  (** request-body byte limit (413 beyond) *)
   timeout : float;
       (** per-connection kernel read/write timeout, seconds *)

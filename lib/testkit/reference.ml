@@ -15,9 +15,8 @@ let tie_break (a : Objective.summary) (b : Objective.summary) =
   in
   if c <> 0 then c
   else
-    String.compare
-      (Design.fingerprint a.Objective.design)
-      (Design.fingerprint b.Objective.design)
+    Storage_units.Struct_hash.compare a.Objective.design.Design.key
+      b.Objective.design.Design.key
 
 let pareto_frontier summaries =
   let non_dominated =

@@ -9,7 +9,7 @@ val pareto_frontier : Objective.summary list -> Objective.summary list
 (** The quadratic specification of {!Pareto.frontier}: filter out
     everything some other element dominates, then regroup each
     equal-score class at its first occurrence, ordered by design name and
-    then structural fingerprint. {!Pareto.frontier} must equal it list
+    then structural key. {!Pareto.frontier} must equal it list
     for list. *)
 
 val run_materialized : Design.t list -> Scenario.t list -> Search.result

@@ -30,5 +30,20 @@ val option : (t -> 'a -> t) -> t -> 'a option -> t
 val list : (t -> 'a -> t) -> t -> 'a list -> t
 (** Length-prefixed fold of the walker over the elements. *)
 
+val combine : t -> t -> t
+(** [combine acc d] folds the finished digest [d] into [acc] as two
+    64-bit leaves. A composite key built from per-part digests is as
+    stable as the part walks, and a part shared by many values is walked
+    once rather than once per value. *)
+
+val compare : t -> t -> int
+(** A total order on digests: the order of their {!to_hex} renderings,
+    without building them. *)
+
+val to_key : t -> string
+(** The digest as 16 raw bytes (both lanes, little-endian): a fixed-width
+    table key, built without formatting. *)
+
 val to_hex : t -> string
-(** 32 lowercase hex characters (128 bits). *)
+(** 32 lowercase hex characters (128 bits), for display and pinned
+    values. *)

@@ -15,7 +15,7 @@ let scenarios = [ Baseline.scenario_array; Baseline.scenario_site ]
 
 (* Structural equality down to the last byte. [No_sharing] makes the bytes
    independent of how values were built; both sides are marshaled only
-   after both runs complete, so the designs' fingerprint memos (filled by
+   after both runs complete, so the designs' derived memos (filled by
    whichever run came first, shared physically by both results) agree. *)
 let bytes_of x = Marshal.to_string x [ Marshal.No_sharing ]
 
@@ -353,8 +353,131 @@ let test_fingerprint_pinned () =
     Storage_units.Struct_hash.(
       to_hex (string (float (int init 2004) 1.5) "ssdep"));
   Alcotest.(check string)
-    "baseline design fingerprint" "bb74638cff39f5d89aa15379e0c9b8e3"
+    "baseline design fingerprint" "9ae5d5db6da33527aa9de3007359dda1"
     (Design.fingerprint Baseline.design)
+
+(* A grid design's key combines digests its axes computed once per space;
+   it must equal the key of the same design made from its pieces with no
+   digests, which walks every piece. *)
+let remake (d : Design.t) =
+  Design.make ~name:d.Design.name ~workload:d.Design.workload
+    ~hierarchy:d.Design.hierarchy ~business:d.Design.business
+    ~background:d.Design.background ()
+
+let same_key (a : Design.t) (b : Design.t) =
+  Struct_hash.compare a.Design.key b.Design.key = 0
+
+(* The count and the names of the designs whose composed key differs,
+   folded over the sequence so that a 16k-design grid is never held. *)
+let composed_key_mismatches designs =
+  Seq.fold_left
+    (fun (n, bad) d ->
+      (n + 1, if same_key d (remake d) then bad else d.Design.name :: bad))
+    (0, []) designs
+
+let test_grid_keys_compose () =
+  let kit = Storage_testkit.Seeded.kit in
+  List.iter
+    (fun (scale, expected) ->
+      let n, bad =
+        composed_key_mismatches
+          (Candidate.enumerate kit (Candidate.scaled_space ~scale))
+      in
+      Alcotest.(check int) (Printf.sprintf "scale %d grid size" scale)
+        expected n;
+      Alcotest.(check (list string))
+        (Printf.sprintf "scale %d: composed key = walked key" scale)
+        [] bad)
+    [ (1, 76); (2, 1927); (4, 16327) ]
+
+let test_background_keys_compose () =
+  (* A portfolio neighbor's load on the shared primary array, labeled as
+     [Portfolio.make] labels it, light enough to leave the grid valid. *)
+  let background =
+    [
+      ( Baseline.disk_array.Storage_device.Device.name,
+        [
+          {
+            Storage_device.Demand.technique = "neighbor: primary copy";
+            demand =
+              Storage_device.Demand.make ~read_bw:(Rate.mib_per_sec 1.)
+                ~write_bw:(Rate.mib_per_sec 0.5) ~capacity:(Size.gib 10.) ();
+          };
+        ] );
+    ]
+  in
+  let designs =
+    Candidate.enumerate ~background Storage_testkit.Seeded.kit
+      Candidate.default_space
+  in
+  let n, bad = composed_key_mismatches designs in
+  Alcotest.(check bool) "some designs carry the background" true (n > 0);
+  Alcotest.(check (list string)) "composed key = walked key" [] bad;
+  let plain =
+    Candidate.enumerate Storage_testkit.Seeded.kit Candidate.default_space
+  in
+  Seq.iter
+    (fun (d : Design.t) ->
+      match Seq.find (fun p -> p.Design.name = d.Design.name) plain with
+      | Some p ->
+        Alcotest.(check bool)
+          ("background changes the key: " ^ d.Design.name)
+          false (same_key d p)
+      | None -> ())
+    designs
+
+let test_pool_keys_compose () =
+  let pools =
+    [
+      ("pool", Storage_testkit.Seeded.pool ());
+      ("lint pool", Storage_testkit.Seeded.lint_pool ());
+    ]
+  in
+  List.iter
+    (fun (what, designs) ->
+      let _, bad = composed_key_mismatches (List.to_seq designs) in
+      Alcotest.(check (list string)) (what ^ ": composed key = walked key")
+        [] bad;
+      List.iter
+        (fun d ->
+          Alcotest.(check bool) ("strip keeps the key: " ^ d.Design.name) true
+            (same_key d (Design.strip d)))
+        designs)
+    pools
+
+let test_key_order_is_hex_order () =
+  (* [Struct_hash.compare] (the Pareto tie-break's) orders keys as their
+     hex renderings do, without rendering them. *)
+  let keys =
+    List.map (fun d -> d.Design.key) (Storage_testkit.Seeded.lint_pool ())
+  in
+  let by_hex a b =
+    String.compare (Struct_hash.to_hex a) (Struct_hash.to_hex b)
+  in
+  Alcotest.(check (list string)) "same order"
+    (List.map Struct_hash.to_hex (List.sort by_hex keys))
+    (List.map Struct_hash.to_hex (List.sort Struct_hash.compare keys))
+
+let test_make_checks_level_digests () =
+  let d = Baseline.design in
+  Helpers.check_raises_invalid "one level digest short" (fun () ->
+      Design.make ~name:d.Design.name ~workload:d.Design.workload
+        ~hierarchy:d.Design.hierarchy ~business:d.Design.business
+        ~digests:
+          {
+            Design.workload_digest = Design.digest_workload d.Design.workload;
+            level_digests = [];
+            business_digest = Design.digest_business d.Design.business;
+            background_digest = Design.digest_background [];
+          }
+        ())
+
+let test_eval_cache_key () =
+  let key = Eval_cache.key Baseline.design in
+  Alcotest.(check int) "16 raw bytes" 16
+    (String.length (key Baseline.scenario_array));
+  Alcotest.(check bool) "array vs site keys differ" false
+    (String.equal (key Baseline.scenario_array) (key Baseline.scenario_site))
 
 let test_scenario_fingerprint_distinct () =
   Alcotest.(check bool)
@@ -556,5 +679,14 @@ let suite =
           test_portfolio_parallel_equals_serial;
         t "failure-phase sweep: parallel == serial"
           test_sim_sweep_parallel_equals_serial;
+        t "grid keys compose: scales 1, 2 and 4" test_grid_keys_compose;
+        t "grid keys compose under a portfolio background"
+          test_background_keys_compose;
+        t "seeded pool keys compose; strip keeps the key"
+          test_pool_keys_compose;
+        t "key order is hex order" test_key_order_is_hex_order;
+        t "make rejects a level-digest count mismatch"
+          test_make_checks_level_digests;
+        t "eval cache keys: 16 bytes, per scenario" test_eval_cache_key;
       ] );
   ]

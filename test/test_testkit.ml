@@ -41,7 +41,7 @@ let test_draw_deterministic () =
 
 let test_case_deterministic () =
   (* Same per-case seed, twice, compared before any evaluation touches
-     the fingerprint memo: byte-identical designs and scenarios. *)
+     the derived memo: byte-identical designs and scenarios. *)
   List.iter
     (fun seed ->
       let a = Gen.case ~seed ~index:0 in
